@@ -7,8 +7,9 @@
 //! and the window estimator. [`AggregatedEngine`] is that path as an
 //! [`Engine`](crate::Engine): it embeds the shared
 //! [`ApproxRuntime`](crate::ApproxRuntime) directly (sampler pool,
-//! cost-policy feedback, window assembly) and adds only slide-interval
-//! pane bookkeeping, making it the cheapest substrate for live
+//! cost-policy feedback, window assembly) and the shared pane driver, and
+//! adds only the inline sampler the driver feeds, making it the cheapest
+//! substrate for live
 //! [`crate::ApproxSession`]s fed from `sa_aggregator::Consumer` —
 //! see [`crate::ApproxSession::ingest_consumer`].
 //!
@@ -17,19 +18,18 @@
 //! on the spot, so memory stays bounded by reservoir capacity even for
 //! unbounded streams.
 
-use crate::checkpoint::RecordCodec;
+use crate::checkpoint::{require_codec, require_engine, RecordCodec};
 use crate::combine::PanePayload;
 use crate::cost::{PolicyHandle, SizingDirective};
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
-use crate::runtime::{ApproxRuntime, ExactAccumulator, PaneCursor};
+use crate::runtime::{ApproxRuntime, ExactAccumulator, PaneDriver, PaneSink};
 use sa_estimate::StratumStats;
 use sa_sampling::OasrsSampler;
 use sa_types::wire::put_varint;
 use sa_types::{
-    EngineSnapshot, EventTime, RunSeed, SaError, StreamItem, Window, WireDecode, WireEncode,
-    WireReader,
+    EngineSnapshot, RunSeed, SaError, StreamItem, Window, WireDecode, WireEncode, WireReader,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -92,15 +92,22 @@ enum PaneState<R> {
 }
 
 /// The consumer-path substrate: single-threaded, inline, per-push
-/// sampling over the shared [`ApproxRuntime`].
+/// sampling over the shared [`ApproxRuntime`]. The [`PaneDriver`] cuts the
+/// panes; the sink is everything specific to this engine.
 pub(crate) struct AggregatedEngine<'p, R> {
+    driver: PaneDriver,
+    sink: AggregatedSink<'p, R>,
+    codec: Option<RecordCodec<R>>,
+}
+
+/// The aggregated engine's [`PaneSink`]: every item meets a pooled sampler
+/// (or an exact accumulator) the moment it arrives.
+struct AggregatedSink<'p, R> {
     runtime: ApproxRuntime<'p, R>,
     proj: Arc<dyn Fn(&R) -> f64 + Send + Sync>,
-    cursor: PaneCursor,
     state: PaneState<R>,
     pane_arrived: u64,
     prev_pane_arrived: usize,
-    codec: Option<RecordCodec<R>>,
 }
 
 impl<'p, R> AggregatedEngine<'p, R> {
@@ -113,32 +120,28 @@ impl<'p, R> AggregatedEngine<'p, R> {
         let pane_ms = config
             .pane_interval_ms
             .unwrap_or_else(|| query.window().slide_millis());
-        let cursor = PaneCursor::new(pane_ms, query.window());
-        let runtime = ApproxRuntime::new(&query, policy, config.seed, 1);
         AggregatedEngine {
-            runtime,
-            proj: query.projection(),
-            cursor,
-            state: PaneState::Idle,
-            pane_arrived: 0,
-            prev_pane_arrived: 0,
+            driver: PaneDriver::new(pane_ms, query.window()),
+            sink: AggregatedSink {
+                runtime: ApproxRuntime::new(&query, policy, config.seed, 1),
+                proj: query.projection(),
+                state: PaneState::Idle,
+                pane_arrived: 0,
+                prev_pane_arrived: 0,
+            },
             codec,
         }
     }
+}
 
-    fn require_codec(&self) -> Result<RecordCodec<R>, SaError> {
-        self.codec.ok_or_else(|| {
-            SaError::Checkpoint(
-                "engine built without a record codec; enable with StreamApprox::checkpointable"
-                    .into(),
-            )
-        })
-    }
-
-    /// Opens the cursor's current pane: consults the cost policy and
-    /// arms either a pooled sampler (capacity adaptation carries across
-    /// panes) or an exact accumulator.
+impl<R> AggregatedSink<'_, R> {
+    /// Arms the pane the driver just opened, unless it already is:
+    /// consults the cost policy and checks out either a pooled sampler
+    /// (capacity adaptation carries across panes) or an exact accumulator.
     fn open_pane(&mut self) {
+        if !matches!(self.state, PaneState::Idle) {
+            return;
+        }
         self.state = match self.runtime.interval_sizing() {
             SizingDirective::Everything => {
                 PaneState::Exact(ExactAccumulator::new(Arc::clone(&self.proj)))
@@ -152,12 +155,37 @@ impl<'p, R> AggregatedEngine<'p, R> {
         };
         self.pane_arrived = 0;
     }
+}
 
-    /// Closes the current pane into per-stratum statistics, feeds the
-    /// policy, and advances the watermark to the pane end.
-    fn close_pane(&mut self) {
-        let (start, end) = self.cursor.pane().expect("close_pane needs an open pane");
-        let pane = Window::new(EventTime::from_millis(start), EventTime::from_millis(end));
+impl<R> PaneSink<R> for AggregatedSink<'_, R> {
+    #[inline]
+    fn observe(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
+        self.open_pane();
+        match &mut self.state {
+            PaneState::Sampling(sampler) => sampler.observe(item.stratum, item.value),
+            PaneState::Exact(acc) => acc.observe(item.stratum, &item.value),
+            PaneState::Idle => unreachable!("a pane is open whenever an item is observed"),
+        }
+        self.pane_arrived += 1;
+        Ok(())
+    }
+
+    fn observe_run(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError> {
+        self.open_pane();
+        self.pane_arrived += items.len() as u64;
+        match &mut self.state {
+            PaneState::Sampling(sampler) => sampler.observe_batch(items),
+            PaneState::Exact(acc) => acc.observe_slice(items),
+            PaneState::Idle => unreachable!("a pane is open whenever items are observed"),
+        }
+        Ok(())
+    }
+
+    /// Closes the pane into per-stratum statistics, feeds the policy, and
+    /// advances the watermark to the pane end. A quiet interval is armed
+    /// first, so it consults the policy like any other pane.
+    fn close_pane(&mut self, pane: Window) -> Result<(), SaError> {
+        self.open_pane();
         // Only the interval-close work is clocked: per-item observes stay
         // clock-free so push costs no syscalls, at the price of
         // process_nanos under-reporting the (tiny, O(1)-per-item) observe
@@ -186,81 +214,35 @@ impl<'p, R> AggregatedEngine<'p, R> {
         );
         self.runtime.close_interval(pane.end);
         self.prev_pane_arrived = self.pane_arrived as usize;
+        Ok(())
     }
 }
 
 impl<R> Engine<R> for AggregatedEngine<'_, R> {
     fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
-        // The shared cursor aligns the first pane to the first item's
-        // interval, yields quiet intervals as empty panes (each with its
-        // own policy consultation, like the engines' empty
-        // micro-batches), and jumps oversized gaps.
-        let t = item.time.as_millis();
-        while self.cursor.needs_close(t) {
-            if matches!(self.state, PaneState::Idle) {
-                self.open_pane();
-            }
-            self.close_pane();
-            self.cursor.next(t);
-        }
-        if matches!(self.state, PaneState::Idle) {
-            self.open_pane();
-        }
-        match &mut self.state {
-            PaneState::Sampling(sampler) => sampler.observe(item.stratum, item.value),
-            PaneState::Exact(acc) => acc.observe(item.stratum, &item.value),
-            PaneState::Idle => unreachable!("a pane is open whenever an item is observed"),
-        }
-        self.pane_arrived += 1;
-        Ok(())
+        self.driver.push(item, &mut self.sink)
     }
 
-    fn push_chunk(&mut self, mut items: Vec<StreamItem<R>>) -> Result<(), SaError> {
-        // The batch fast path: pane-cursor checks run once per pane
-        // portion instead of once per item, and each portion goes to the
-        // sampler/accumulator as one slice. Identical pane/RNG sequence to
-        // the per-item loop, so results are bit-for-bit the same.
-        while !items.is_empty() {
-            let t = items[0].time.as_millis();
-            while self.cursor.needs_close(t) {
-                if matches!(self.state, PaneState::Idle) {
-                    self.open_pane();
-                }
-                self.close_pane();
-                self.cursor.next(t);
-            }
-            if matches!(self.state, PaneState::Idle) {
-                self.open_pane();
-            }
-            let (_, end) = self.cursor.pane().expect("pane open after needs_close");
-            let n = items.partition_point(|it| it.time.as_millis() < end);
-            let rest = items.split_off(n);
-            self.pane_arrived += items.len() as u64;
-            match &mut self.state {
-                PaneState::Sampling(sampler) => sampler.observe_batch(&mut items),
-                PaneState::Exact(acc) => acc.observe_slice(&items),
-                PaneState::Idle => unreachable!("a pane is open whenever items are observed"),
-            }
-            items = rest;
-        }
-        Ok(())
+    fn push_chunk(&mut self, items: Vec<StreamItem<R>>) -> Result<(), SaError> {
+        self.driver.push_chunk(items, &mut self.sink)
     }
 
     fn poll_windows(&mut self) -> Vec<WindowResult> {
-        self.runtime.take_windows()
+        self.sink.runtime.take_windows()
     }
 
     fn panes_closed(&self) -> u64 {
-        self.runtime.panes_closed()
+        self.sink.runtime.panes_closed()
     }
 
     fn snapshot(&mut self) -> Result<EngineSnapshot, SaError> {
-        let codec = self.require_codec()?;
+        let codec = require_codec(self.codec)?;
+        let sink = &self.sink;
         let mut state = Vec::new();
-        self.cursor.start().encode(&mut state);
-        put_varint(&mut state, self.pane_arrived);
-        put_varint(&mut state, self.prev_pane_arrived as u64);
-        match &self.state {
+        self.driver.start().encode(&mut state);
+        put_varint(&mut state, sink.pane_arrived);
+        put_varint(&mut state, sink.prev_pane_arrived as u64);
+        match &sink.state {
             PaneState::Idle => 0u8.encode(&mut state),
             PaneState::Sampling(sampler) => {
                 1u8.encode(&mut state);
@@ -271,27 +253,23 @@ impl<R> Engine<R> for AggregatedEngine<'_, R> {
                 acc.encode_state(&mut state);
             }
         }
-        self.runtime.encode_state(codec, &mut state);
+        sink.runtime.encode_state(codec, &mut state);
         Ok(EngineSnapshot {
             engine: "aggregated".into(),
-            pane: self.cursor.start(),
+            pane: self.driver.start(),
             state,
         })
     }
 
     fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), SaError> {
-        let codec = self.require_codec()?;
-        if snapshot.engine != "aggregated" {
-            return Err(SaError::Checkpoint(format!(
-                "cannot restore a '{}' snapshot into the aggregated engine",
-                snapshot.engine
-            )));
-        }
+        let codec = require_codec(self.codec)?;
+        require_engine(snapshot, "aggregated")?;
+        let sink = &mut self.sink;
         let mut r = WireReader::new(&snapshot.state);
-        self.cursor.restore_start(Option::decode(&mut r)?);
-        self.pane_arrived = r.read_varint()?;
-        self.prev_pane_arrived = usize::decode(&mut r)?;
-        self.state = match u8::decode(&mut r)? {
+        self.driver.restore_start(Option::decode(&mut r)?)?;
+        sink.pane_arrived = r.read_varint()?;
+        sink.prev_pane_arrived = usize::decode(&mut r)?;
+        sink.state = match u8::decode(&mut r)? {
             0 => PaneState::Idle,
             // A mid-pane sampler was checked out of the runtime pool when
             // the snapshot was taken, so the pool state restored below has
@@ -302,20 +280,20 @@ impl<R> Engine<R> for AggregatedEngine<'_, R> {
             })?),
             2 => PaneState::Exact(ExactAccumulator::decode_state(
                 &mut r,
-                Arc::clone(&self.proj),
+                Arc::clone(&sink.proj),
             )?),
             tag => {
                 return Err(SaError::Wire(format!("unknown pane-state tag {tag}")));
             }
         };
-        self.runtime.restore_state(&mut r, codec)?;
+        sink.runtime.restore_state(&mut r, codec)?;
         r.finish()
     }
 
     fn finish(mut self: Box<Self>) -> RunOutput {
-        if !matches!(self.state, PaneState::Idle) {
-            self.close_pane();
-        }
-        self.runtime.finish()
+        self.driver
+            .finish(&mut self.sink)
+            .expect("the aggregated sink never fails");
+        self.sink.runtime.finish()
     }
 }

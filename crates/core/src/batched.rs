@@ -23,13 +23,13 @@
 //! [`run_batched`] is a convenience wrapper: one session, one
 //! `push_batch`, one `finish`.
 
-use crate::checkpoint::RecordCodec;
+use crate::checkpoint::{require_codec, require_engine, RecordCodec};
 use crate::combine::PanePayload;
 use crate::cost::{CostPolicy, PolicyHandle, SizingDirective};
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
-use crate::runtime::{ApproxRuntime, ExactAccumulator, PaneCursor};
+use crate::runtime::{ApproxRuntime, ExactAccumulator, PaneDriver, PaneSink};
 use crate::session::StreamApprox;
 use sa_batched::{Cluster, MicroBatch, Pds};
 use sa_estimate::StratumStats;
@@ -175,21 +175,25 @@ where
     session.finish()
 }
 
-/// The batched substrate as an incremental [`Engine`]: buffers the current
-/// micro-batch, and every time an item crosses the batch-interval boundary
-/// runs the pane job exactly as the one-shot path would — dataset
-/// formation, cluster shuffles, OASRS before RDD formation — then advances
-/// the runtime's watermark. Quiet intervals between items become empty
-/// panes, mirroring `MicroBatcher`.
+/// The batched substrate as an incremental [`Engine`]: the [`PaneDriver`]
+/// cuts the stream into micro-batches, and every time an item crosses the
+/// batch-interval boundary the sink runs the pane job exactly as the
+/// one-shot path would — dataset formation, cluster shuffles, OASRS before
+/// RDD formation — then advances the runtime's watermark.
 pub(crate) struct BatchedEngine<'p, R> {
+    driver: PaneDriver,
+    sink: BatchedSink<'p, R>,
+    codec: Option<RecordCodec<R>>,
+}
+
+/// The batched engine's [`PaneSink`]: buffers the open micro-batch and
+/// runs the configured system's pane job over it at close.
+struct BatchedSink<'p, R> {
     config: BatchedConfig,
-    system: BatchedSystem,
     query: Query<R>,
     runtime: ApproxRuntime<'p, R>,
     pane_items: Vec<StreamItem<R>>,
-    cursor: PaneCursor,
     pane_idx: u64,
-    codec: Option<RecordCodec<R>>,
 }
 
 impl<'p, R> BatchedEngine<'p, R>
@@ -203,35 +207,44 @@ where
         codec: Option<RecordCodec<R>>,
     ) -> Self {
         let runtime = ApproxRuntime::new(&query, policy, config.seed, config.sample_workers.max(1));
-        let cursor = PaneCursor::new(config.batch_interval_ms, query.window());
-        let system = config.system;
         BatchedEngine {
-            config,
-            system,
-            query,
-            runtime,
-            pane_items: Vec::new(),
-            cursor,
-            pane_idx: 0,
+            driver: PaneDriver::new(config.batch_interval_ms, query.window()),
+            sink: BatchedSink {
+                config,
+                query,
+                runtime,
+                pane_items: Vec::new(),
+                pane_idx: 0,
+            },
             codec,
         }
     }
+}
 
-    fn require_codec(&self) -> Result<RecordCodec<R>, SaError> {
-        self.codec.ok_or_else(|| {
-            SaError::Checkpoint(
-                "engine built without a record codec; enable with StreamApprox::checkpointable"
-                    .into(),
-            )
-        })
+impl<R> PaneSink<R> for BatchedSink<'_, R>
+where
+    R: Send + Sync + Clone + 'static,
+{
+    #[inline]
+    fn observe(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
+        self.pane_items.push(item);
+        Ok(())
     }
 
-    /// Closes the current pane — runs the pane job over the buffered
-    /// items (possibly none, for a quiet interval) and advances the
-    /// watermark to the pane end.
-    fn close_pane(&mut self) {
-        let (start, end) = self.cursor.pane().expect("close_pane needs an open pane");
-        let window = Window::new(EventTime::from_millis(start), EventTime::from_millis(end));
+    /// Sampling happens at close either way, so buffering a run at once
+    /// is trivially identical to buffering it item by item.
+    fn observe_run(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError> {
+        if self.pane_items.is_empty() {
+            std::mem::swap(&mut self.pane_items, items);
+        } else {
+            self.pane_items.append(items);
+        }
+        Ok(())
+    }
+
+    /// Runs the pane job over the buffered items (possibly none, for a
+    /// quiet interval) and advances the watermark to the pane end.
+    fn close_pane(&mut self, window: Window) -> Result<(), SaError> {
         let batch = MicroBatch {
             window,
             items: std::mem::take(&mut self.pane_items),
@@ -239,7 +252,8 @@ where
         let directive = self.runtime.interval_sizing();
         let pane_started = Instant::now();
         let arrived = batch.items.len() as u64;
-        let payload = match (self.system, directive) {
+        let system = self.config.system;
+        let payload = match (system, directive) {
             (BatchedSystem::Native, _) | (_, SizingDirective::Everything) => {
                 native_pane(&self.config, &self.query, batch)
             }
@@ -253,10 +267,7 @@ where
                 sts_pane(&self.config, &self.query, batch, f, self.pane_idx)
             }
             (BatchedSystem::Srs | BatchedSystem::Sts, d) => {
-                panic!(
-                    "the {} baseline needs a fraction budget, got {d:?}",
-                    self.system
-                )
+                panic!("the {system} baseline needs a fraction budget, got {d:?}")
             }
         };
         let process_nanos = pane_started.elapsed().as_nanos() as u64;
@@ -264,6 +275,7 @@ where
             .ingest_interval(window, payload, arrived, process_nanos);
         self.runtime.close_interval(window.end);
         self.pane_idx += 1;
+        Ok(())
     }
 }
 
@@ -272,83 +284,51 @@ where
     R: Send + Sync + Clone + 'static,
 {
     fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
-        // The shared cursor aligns the first pane to the first item's
-        // interval, yields quiet intervals as empty panes (mirroring the
-        // one-shot batcher), and jumps oversized gaps.
-        let t = item.time.as_millis();
-        while self.cursor.needs_close(t) {
-            self.close_pane();
-            self.cursor.next(t);
-        }
-        self.pane_items.push(item);
-        Ok(())
+        self.driver.push(item, &mut self.sink)
     }
 
-    fn push_chunk(&mut self, mut items: Vec<StreamItem<R>>) -> Result<(), SaError> {
-        // Buffer whole pane portions at once: the cursor runs once per
-        // pane boundary instead of once per item. Sampling happens at
-        // close_pane either way, so this is trivially identical to the
-        // per-item loop.
-        while !items.is_empty() {
-            let t = items[0].time.as_millis();
-            while self.cursor.needs_close(t) {
-                self.close_pane();
-                self.cursor.next(t);
-            }
-            let (_, end) = self.cursor.pane().expect("pane open after needs_close");
-            let n = items.partition_point(|it| it.time.as_millis() < end);
-            let rest = items.split_off(n);
-            if self.pane_items.is_empty() {
-                self.pane_items = items;
-            } else {
-                self.pane_items.append(&mut items);
-            }
-            items = rest;
-        }
-        Ok(())
+    fn push_chunk(&mut self, items: Vec<StreamItem<R>>) -> Result<(), SaError> {
+        self.driver.push_chunk(items, &mut self.sink)
     }
 
     fn poll_windows(&mut self) -> Vec<WindowResult> {
-        self.runtime.take_windows()
+        self.sink.runtime.take_windows()
     }
 
     fn panes_closed(&self) -> u64 {
-        self.runtime.panes_closed()
+        self.sink.runtime.panes_closed()
     }
 
     fn snapshot(&mut self) -> Result<EngineSnapshot, SaError> {
-        let codec = self.require_codec()?;
+        let codec = require_codec(self.codec)?;
+        let sink = &self.sink;
         let mut state = Vec::new();
-        put_varint(&mut state, self.pane_idx);
-        self.cursor.start().encode(&mut state);
+        put_varint(&mut state, sink.pane_idx);
+        self.driver.start().encode(&mut state);
         // The open pane's buffered items: a micro-batch engine samples at
         // pane close, so mid-pane state is the raw buffer itself — still
         // O(pane), never O(stream).
-        put_varint(&mut state, self.pane_items.len() as u64);
-        for item in &self.pane_items {
+        put_varint(&mut state, sink.pane_items.len() as u64);
+        for item in &sink.pane_items {
             item.stratum.encode(&mut state);
             item.time.encode(&mut state);
             (codec.encode)(&item.value, &mut state);
         }
-        self.runtime.encode_state(codec, &mut state);
+        sink.runtime.encode_state(codec, &mut state);
         Ok(EngineSnapshot {
             engine: "batched".into(),
-            pane: self.cursor.start(),
+            pane: self.driver.start(),
             state,
         })
     }
 
     fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), SaError> {
-        let codec = self.require_codec()?;
-        if snapshot.engine != "batched" {
-            return Err(SaError::Checkpoint(format!(
-                "cannot restore a '{}' snapshot into the batched engine",
-                snapshot.engine
-            )));
-        }
+        let codec = require_codec(self.codec)?;
+        require_engine(snapshot, "batched")?;
+        let sink = &mut self.sink;
         let mut r = WireReader::new(&snapshot.state);
-        self.pane_idx = r.read_varint()?;
-        self.cursor.restore_start(Option::decode(&mut r)?);
+        sink.pane_idx = r.read_varint()?;
+        self.driver.restore_start(Option::decode(&mut r)?)?;
         let n = r.read_len()?;
         let mut pane_items = Vec::with_capacity(n);
         for _ in 0..n {
@@ -361,19 +341,16 @@ where
                 value,
             });
         }
-        self.pane_items = pane_items;
-        self.runtime.restore_state(&mut r, codec)?;
+        sink.pane_items = pane_items;
+        sink.runtime.restore_state(&mut r, codec)?;
         r.finish()
     }
 
     fn finish(mut self: Box<Self>) -> RunOutput {
-        // A trailing pane exists exactly when items arrived since the last
-        // boundary; quiet trailing intervals produce no pane, mirroring
-        // the one-shot batcher.
-        if !self.pane_items.is_empty() {
-            self.close_pane();
-        }
-        self.runtime.finish()
+        self.driver
+            .finish(&mut self.sink)
+            .expect("the batched sink never fails");
+        self.sink.runtime.finish()
     }
 }
 

@@ -37,7 +37,7 @@ use crate::combine::PanePayload;
 use crate::cost::SizingDirective;
 use crate::output::WindowResult;
 use sa_types::wire::put_varint;
-use sa_types::{SaError, SessionSnapshot, WireDecode, WireEncode, WireReader};
+use sa_types::{EngineSnapshot, SaError, SessionSnapshot, WireDecode, WireEncode, WireReader};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -80,6 +80,29 @@ impl<R: WireEncode + WireDecode> Default for RecordCodec<R> {
     fn default() -> Self {
         RecordCodec::new()
     }
+}
+
+/// The codec an engine must have been built with to snapshot or restore.
+pub(crate) fn require_codec<R>(codec: Option<RecordCodec<R>>) -> Result<RecordCodec<R>, SaError> {
+    codec.ok_or_else(|| {
+        SaError::Checkpoint(
+            "engine built without a record codec; enable with StreamApprox::checkpointable \
+             (DigestEngine::checkpointable on a distributed worker)"
+                .into(),
+        )
+    })
+}
+
+/// Refuses to decode a snapshot that names a different engine than
+/// `engine` (see the versioning rules above).
+pub(crate) fn require_engine(snapshot: &EngineSnapshot, engine: &str) -> Result<(), SaError> {
+    if snapshot.engine == engine {
+        return Ok(());
+    }
+    Err(SaError::Checkpoint(format!(
+        "cannot restore a '{}' snapshot into the {engine} engine",
+        snapshot.engine
+    )))
 }
 
 /// Where sealed snapshots live between a crash and the resume.

@@ -9,7 +9,10 @@
 //! settles into a [`RunOutput`] at end of stream. Every implementation
 //! embeds the shared runtime parts ([`crate::ApproxRuntime`],
 //! [`crate::IntervalWorker`], [`crate::WindowFinalizer`]) and adds only
-//! its substrate's execution strategy.
+//! its substrate's execution strategy: the push-driven engines do not
+//! even cut their own panes — `push`, `push_chunk` and `finish` are calls
+//! into the one pane driver of [`crate::runtime`], and the engine is the
+//! sink it feeds.
 //!
 //! Applications normally do not touch this trait: they build an
 //! [`crate::ApproxSession`] through the [`crate::StreamApprox`] builder,
@@ -45,7 +48,9 @@ pub trait Engine<R> {
     ///
     /// [`SaError::Disconnected`] if the substrate has shut down (e.g. an
     /// operator thread died); implementations must not panic on transport
-    /// failure.
+    /// failure. [`SaError::InvalidConfig`] from engines on the shared pane
+    /// driver when pane arithmetic on the item's event time would
+    /// overflow: the item is not ingested and the engine stays usable.
     fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError>;
 
     /// Ingests a whole chunk of items (same ordering contract as
@@ -53,8 +58,8 @@ pub trait Engine<R> {
     /// event time and no earlier than anything already pushed).
     ///
     /// The default implementation is a per-item [`push`](Engine::push)
-    /// loop; engines with a batch fast path override it to run
-    /// pane-boundary checks once per run and feed whole slices to the
+    /// loop; engines on the shared pane driver override it, so
+    /// pane-boundary checks run once per run and whole slices reach the
     /// samplers. Overrides must be observationally identical to the
     /// default — chunking is a throughput lever, never a semantic one.
     ///

@@ -94,14 +94,14 @@
 //! contradicting the run directive, duplicate first-generation digests —
 //! surface as [`SaError::Wire`].
 
-use crate::checkpoint::{open_session_snapshot, RecordCodec};
+use crate::checkpoint::{open_session_snapshot, require_codec, require_engine, RecordCodec};
 use crate::combine::PanePayload;
 use crate::cost::SizingDirective;
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::runtime::{
-    pane_merge_seed, sampler_sizing, IntervalWorker, PaneCursor, ShardSet, WindowFinalizer,
-    WorkerPane,
+    pane_merge_seed, sampler_sizing, IntervalWorker, PaneDriver, PaneSink, ShardSet,
+    WindowFinalizer, WorkerPane,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -1440,25 +1440,31 @@ fn heartbeat_loop(shared: Arc<WorkerShared>, interval: Duration) {
 /// With a record codec attached
 /// ([`checkpointable`](DigestEngine::checkpointable)), the engine
 /// supports session checkpoints: snapshots serialize the shard sampler
-/// and pane cursor, and every sealed checkpoint is also published to the
+/// and open pane, and every sealed checkpoint is also published to the
 /// coordinator so a replacement worker can adopt this shard's state.
 pub struct DigestEngine<R> {
-    shared: Arc<WorkerShared>,
+    driver: PaneDriver,
+    sink: DigestSink<R>,
     /// A second handle onto the same socket for the results drain, so a
     /// blocking read never holds the write lock against the heartbeat
     /// thread.
     reader: TcpStream,
     heartbeat: Option<JoinHandle<()>>,
-    worker: u32,
     respawns: u32,
     wants_results: bool,
-    cursor: PaneCursor,
-    sampler: IntervalWorker<R>,
     codec: Option<RecordCodec<R>>,
+    started: Instant,
+}
+
+/// The distributed worker's [`PaneSink`]: samples the open pane with the
+/// shard's sampler and ships one digest per closed pane.
+struct DigestSink<R> {
+    shared: Arc<WorkerShared>,
+    worker: u32,
+    sampler: IntervalWorker<R>,
     proj: Arc<dyn Fn(&R) -> f64 + Send + Sync>,
     watermark: Option<EventTime>,
     panes: u64,
-    started: Instant,
     /// Checkpoint exposure the session reports through
     /// [`Engine::note_checkpoint`], mirrored onto every digest and
     /// heartbeat so the coordinator's [`WorkerStatus`] shows it.
@@ -1555,22 +1561,24 @@ fn assemble_engine<R>(
         None
     };
     Ok(DigestEngine {
-        shared,
+        driver: PaneDriver::new(assignment.pane_interval_ms, assignment.window),
+        sink: DigestSink {
+            shared,
+            worker: assignment.worker,
+            sampler,
+            proj,
+            watermark: None,
+            panes: 0,
+            last_checkpoint_pane: None,
+            items_at_checkpoint: 0,
+            snapshot_bytes: 0,
+        },
         reader,
         heartbeat,
-        worker: assignment.worker,
         respawns,
         wants_results,
-        cursor: PaneCursor::new(assignment.pane_interval_ms, assignment.window),
-        sampler,
         codec: None,
-        proj,
-        watermark: None,
-        panes: 0,
         started: Instant::now(),
-        last_checkpoint_pane: None,
-        items_at_checkpoint: 0,
-        snapshot_bytes: 0,
     })
 }
 
@@ -1694,7 +1702,7 @@ impl<R> DigestEngine<R> {
 
     /// The shard id this engine owns.
     pub fn worker(&self) -> u32 {
-        self.worker
+        self.sink.worker
     }
 
     /// How many times this shard had been re-adopted when this engine
@@ -1708,29 +1716,53 @@ impl<R> DigestEngine<R> {
     /// digest and heartbeat. The handle stays valid after the engine is
     /// boxed into an [`crate::ApproxSession`].
     pub fn lag_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.shared.lag)
+        Arc::clone(&self.sink.shared.lag)
+    }
+}
+
+impl<R> DigestSink<R> {
+    fn check_alive(&self) -> Result<(), SaError> {
+        if self.shared.alive.load(Ordering::Acquire) {
+            Ok(())
+        } else {
+            Err(SaError::Disconnected("digest worker lost its coordinator"))
+        }
     }
 
-    /// Sends one liveness heartbeat immediately.
-    ///
-    /// Heartbeats are automatic since the coordinator started assigning
-    /// a cadence: a background thread sends one every assigned interval
-    /// for as long as the engine lives, so there is nothing to call —
-    /// though the coordinator tolerates extra heartbeats in any phase of
-    /// the run.
-    ///
-    /// # Errors
-    ///
-    /// [`SaError::Wire`] when the coordinator connection is gone.
-    #[deprecated(note = "heartbeats are sent automatically by a background thread; \
-                         this manual nudge is only useful with a coordinator that \
-                         assigned no cadence")]
-    pub fn heartbeat(&mut self) -> Result<(), SaError> {
-        self.shared.send(&self.shared.heartbeat_message())
+    /// Publishes progress through `last` to the heartbeat thread.
+    fn note_progress(&mut self, last: EventTime) {
+        self.watermark = Some(last);
+        self.shared
+            .watermark
+            .store(last.as_millis(), Ordering::Relaxed);
+        self.shared
+            .ingested
+            .store(self.sampler.counters().0, Ordering::Relaxed);
+    }
+}
+
+impl<R> PaneSink<R> for DigestSink<R> {
+    #[inline]
+    fn observe(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
+        self.check_alive()?;
+        self.sampler.observe(item.stratum, item.value);
+        self.note_progress(item.time);
+        Ok(())
     }
 
-    fn close_pane(&mut self) -> Result<(), SaError> {
-        let (start, end) = self.cursor.pane().expect("close follows an open pane");
+    /// The liveness check and the heartbeat counters are paid once per
+    /// run, not per item.
+    fn observe_run(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError> {
+        self.check_alive()?;
+        if let Some(last) = items.last().map(|item| item.time) {
+            self.sampler.observe_chunk(items);
+            self.note_progress(last);
+        }
+        Ok(())
+    }
+
+    fn close_pane(&mut self, pane: Window) -> Result<(), SaError> {
+        self.check_alive()?;
         let payload = match self.sampler.close_interval_parts() {
             WorkerPane::Sampled(sample) => {
                 DigestPayload::Sampled(project_sample(sample, self.proj.as_ref()))
@@ -1741,7 +1773,7 @@ impl<R> DigestEngine<R> {
         self.panes += 1;
         let digest = Digest {
             worker: self.worker,
-            pane: Window::new(EventTime::from_millis(start), EventTime::from_millis(end)),
+            pane,
             counters: IngestCounters {
                 ingested,
                 dropped_late: 0,
@@ -1755,35 +1787,15 @@ impl<R> DigestEngine<R> {
         };
         self.shared.send(&Message::PaneDigest(digest))
     }
-
-    fn require_codec(&self) -> Result<RecordCodec<R>, SaError> {
-        self.codec.ok_or_else(|| {
-            SaError::Checkpoint(
-                "the digest engine checkpoints only when built with a record codec \
-                 (DigestEngine::checkpointable)"
-                    .into(),
-            )
-        })
-    }
 }
 
 impl<R> Engine<R> for DigestEngine<R> {
     fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
-        if !self.shared.alive.load(Ordering::Acquire) {
-            return Err(SaError::Disconnected("digest worker lost its coordinator"));
-        }
-        let t = item.time.as_millis();
-        while self.cursor.needs_close(t) {
-            self.close_pane()?;
-            self.cursor.next(t);
-        }
-        self.watermark = Some(item.time);
-        self.shared.watermark.store(t, Ordering::Relaxed);
-        self.sampler.observe(item.stratum, item.value);
-        self.shared
-            .ingested
-            .store(self.sampler.counters().0, Ordering::Relaxed);
-        Ok(())
+        self.driver.push(item, &mut self.sink)
+    }
+
+    fn push_chunk(&mut self, items: Vec<StreamItem<R>>) -> Result<(), SaError> {
+        self.driver.push_chunk(items, &mut self.sink)
     }
 
     fn poll_windows(&mut self) -> Vec<WindowResult> {
@@ -1791,74 +1803,70 @@ impl<R> Engine<R> for DigestEngine<R> {
     }
 
     fn panes_closed(&self) -> u64 {
-        self.panes
+        self.sink.panes
     }
 
     fn note_checkpoint(&mut self, pane: Option<i64>, snapshot_bytes: u64) {
-        let (ingested, _) = self.sampler.counters();
-        self.last_checkpoint_pane = pane;
-        self.items_at_checkpoint = ingested;
-        self.snapshot_bytes = snapshot_bytes;
-        self.shared
+        let sink = &mut self.sink;
+        let (ingested, _) = sink.sampler.counters();
+        sink.last_checkpoint_pane = pane;
+        sink.items_at_checkpoint = ingested;
+        sink.snapshot_bytes = snapshot_bytes;
+        sink.shared
             .last_checkpoint_pane
             .store(pane.unwrap_or(NO_TIME), Ordering::Relaxed);
-        self.shared
+        sink.shared
             .items_at_checkpoint
             .store(ingested, Ordering::Relaxed);
-        self.shared
+        sink.shared
             .snapshot_bytes
             .store(snapshot_bytes, Ordering::Relaxed);
     }
 
     fn publish_checkpoint(&mut self, sealed: &[u8]) {
-        if !self.shared.alive.load(Ordering::Acquire) {
+        if self.sink.check_alive().is_err() {
             return;
         }
         // Best-effort by contract: a slice too large for one frame, or a
         // coordinator mid-failure, costs only handoff freshness — the
         // checkpoint itself already succeeded locally.
-        let _ = self.shared.send(&Message::SnapshotSlice {
-            worker: self.worker,
-            pane: self.last_checkpoint_pane,
+        let _ = self.sink.shared.send(&Message::SnapshotSlice {
+            worker: self.sink.worker,
+            pane: self.sink.last_checkpoint_pane,
             sealed: sealed.to_vec(),
         });
     }
 
     fn snapshot(&mut self) -> Result<EngineSnapshot, SaError> {
-        let codec = self.require_codec()?;
+        let codec = require_codec(self.codec)?;
         let mut state = Vec::new();
-        self.cursor.start().encode(&mut state);
-        self.watermark.encode(&mut state);
-        sa_types::wire::put_varint(&mut state, self.panes);
-        self.sampler.encode_state(codec, &mut state);
+        self.driver.start().encode(&mut state);
+        self.sink.watermark.encode(&mut state);
+        sa_types::wire::put_varint(&mut state, self.sink.panes);
+        self.sink.sampler.encode_state(codec, &mut state);
         Ok(EngineSnapshot {
             engine: "digest".into(),
-            pane: self.cursor.start(),
+            pane: self.driver.start(),
             state,
         })
     }
 
     fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), SaError> {
-        let codec = self.require_codec()?;
-        if snapshot.engine != "digest" {
-            return Err(SaError::Checkpoint(format!(
-                "cannot restore a '{}' snapshot into the digest engine",
-                snapshot.engine
-            )));
-        }
+        let codec = require_codec(self.codec)?;
+        require_engine(snapshot, "digest")?;
         let mut r = WireReader::new(&snapshot.state);
         let start = Option::<i64>::decode(&mut r)?;
         let watermark = Option::<EventTime>::decode(&mut r)?;
         let panes = r.read_varint()?;
-        let sampler = IntervalWorker::decode_state(&mut r, codec, Arc::clone(&self.proj))?;
+        let sampler = IntervalWorker::decode_state(&mut r, codec, Arc::clone(&self.sink.proj))?;
         r.finish()?;
-        self.cursor.restore_start(start);
-        self.watermark = watermark;
-        self.panes = panes;
+        self.driver.restore_start(start)?;
+        self.sink.watermark = watermark;
+        self.sink.panes = panes;
         let (ingested, _) = sampler.counters();
-        self.sampler = sampler;
-        self.shared.ingested.store(ingested, Ordering::Relaxed);
-        self.shared.watermark.store(
+        self.sink.sampler = sampler;
+        self.sink.shared.ingested.store(ingested, Ordering::Relaxed);
+        self.sink.shared.watermark.store(
             watermark.map_or(NO_TIME, |t| t.as_millis()),
             Ordering::Relaxed,
         );
@@ -1868,13 +1876,14 @@ impl<R> Engine<R> for DigestEngine<R> {
     fn finish(self: Box<Self>) -> RunOutput {
         let mut this = *self;
         let mut windows = Vec::new();
-        if this.shared.alive.load(Ordering::Acquire) {
-            let flushed = this.cursor.pane().is_none() || this.close_pane().is_ok();
+        if this.sink.check_alive().is_ok() {
+            let flushed = this.driver.finish(&mut this.sink).is_ok();
             let goodbye = flushed
                 && this
+                    .sink
                     .shared
                     .send(&Message::Shutdown {
-                        worker: this.worker,
+                        worker: this.sink.worker,
                     })
                     .is_ok();
             if goodbye && this.wants_results {
@@ -1892,7 +1901,7 @@ impl<R> Engine<R> for DigestEngine<R> {
                 }
             }
         }
-        let (ingested, sampled) = this.sampler.counters();
+        let (ingested, sampled) = this.sink.sampler.counters();
         RunOutput {
             windows,
             items_ingested: ingested,
@@ -1906,7 +1915,7 @@ impl<R> Engine<R> for DigestEngine<R> {
 
 impl<R> Drop for DigestEngine<R> {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        self.sink.shared.stop.store(true, Ordering::Release);
         // Severing the socket first also unblocks a heartbeat write
         // wedged against a stalled coordinator. After a clean finish this
         // is a no-op close; without one, the coordinator sees exactly a
@@ -1921,11 +1930,11 @@ impl<R> Drop for DigestEngine<R> {
 impl<R> std::fmt::Debug for DigestEngine<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DigestEngine")
-            .field("worker", &self.worker)
+            .field("worker", &self.sink.worker)
             .field("respawns", &self.respawns)
             .field("wants_results", &self.wants_results)
-            .field("watermark", &self.watermark)
-            .field("alive", &self.shared.alive.load(Ordering::Acquire))
+            .field("watermark", &self.sink.watermark)
+            .field("alive", &self.sink.check_alive().is_ok())
             .finish()
     }
 }
@@ -2055,35 +2064,5 @@ mod tests {
         assert_eq!(status.lost_items, 0);
         let out = coordinator.finish().expect("clean run");
         assert_eq!(out.items_ingested, 2_500);
-    }
-
-    #[test]
-    fn manual_heartbeats_are_tolerated_in_every_phase() {
-        let mut policy = FixedPerStratum(8);
-        let coordinator = StreamApprox::new(query(), &mut policy)
-            .distributed(DistributedConfig::new(1).with_timeout(Duration::from_secs(10)))
-            .expect("bind loopback");
-        let addr = coordinator.addr();
-        let handle = thread::spawn(move || {
-            let mut engine = connect_worker(addr, 0, false, |v: &f64| *v).expect("join");
-            // Before the first item, mid-pane, and right before shutdown:
-            // all legal.
-            #[allow(deprecated)]
-            engine.heartbeat().expect("pre-ingest heartbeat");
-            let mut session = crate::session::ApproxSession::from_engine(Box::new(engine));
-            for i in 0..1_200i64 {
-                session
-                    .push(StreamItem::new(
-                        StratumId(0),
-                        EventTime::from_millis(i),
-                        1.0,
-                    ))
-                    .expect("in order");
-            }
-            session.finish()
-        });
-        let _ = handle.join().expect("worker thread");
-        let out = coordinator.finish().expect("heartbeats never poison a run");
-        assert_eq!(out.items_ingested, 1_200);
     }
 }

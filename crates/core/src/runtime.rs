@@ -17,6 +17,15 @@
 //! * [`IntervalWorker`] — one parallel worker's interval state: an OASRS
 //!   sampler or an exact accumulator, closed into per-stratum statistics
 //!   at every interval boundary. Threaded engines embed one per worker.
+//! * `PaneDriver` / `PaneSink` — *the* pane path. The driver cuts a
+//!   time-ordered stream into event-time panes (grid alignment, empty
+//!   panes for quiet intervals, bounded gap jumps, refusal of
+//!   unrepresentable times, the chunk split at a pane end) and drives a
+//!   three-method sink: one item, a run of items, close the pane. Every
+//!   push-driven engine embeds one driver and supplies only its sink —
+//!   pooled sampler (aggregated), pane buffer (batched), route-and-flush
+//!   (sharded), digest-and-send (distributed worker) — so there is one
+//!   pane-cutting loop in the system, not one per engine.
 //! * [`WindowFinalizer`] — pane-to-window assembly and estimation:
 //!   [`PaneWindower`] state plus [`combine_window`] finalization. Engines
 //!   with a dedicated window stage embed one there.
@@ -28,7 +37,8 @@
 //!
 //! What remains in the engine adapters is only what is genuinely
 //! engine-specific: micro-batch dataset formation and cluster shuffles in
-//! `batched`, operator pipelines and exchanges in `pipelined`.
+//! `batched`, the ring fabric in `sharded`, the wire in `net`, operator
+//! pipelines and exchanges in `pipelined`.
 
 use crate::checkpoint::{
     decode_directive, decode_pane_payload, decode_window_result, encode_directive,
@@ -536,80 +546,196 @@ impl<R> ShardSet<R> {
     }
 }
 
-/// Event-time pane bookkeeping for push-driven engines: first-pane
-/// alignment, boundary detection, and bounded gap handling. The batched
-/// and aggregated engines share this one implementation so their
-/// pane-for-pane agreement with the one-shot wrappers is structural, not
-/// merely test-enforced.
-///
-/// Gaps: quiet intervals between items normally become empty panes (one
-/// `close`/`next` step each), exactly like the recorded-stream
-/// micro-batcher. A gap longer than twice `window size + slide` holds
-/// only panes no window spanning data can cover, so the cursor jumps it —
-/// a single item with a far-future timestamp costs one pane, not one per
-/// elapsed interval (the matching window-side bound lives in
-/// [`PaneWindower::advance`]).
-pub(crate) struct PaneCursor {
-    interval_ms: i64,
-    skip_horizon_ms: i64,
-    start: Option<i64>,
+/// What a substrate does with the panes the [`PaneDriver`] cuts: take the
+/// open pane's items, and close it. Where panes begin and end is the
+/// driver's business alone.
+pub(crate) trait PaneSink<R> {
+    /// One item of the open pane.
+    fn observe(&mut self, item: StreamItem<R>) -> Result<(), SaError>;
+
+    /// A non-empty run of the open pane's items, in stream order. The
+    /// sink may drain the buffer or take it whole; the driver drops
+    /// whatever is left in it.
+    fn observe_run(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError>;
+
+    /// The open pane is over: no later item belongs to it. Quiet
+    /// intervals close without having been fed anything.
+    fn close_pane(&mut self, pane: Window) -> Result<(), SaError>;
 }
 
-impl PaneCursor {
-    /// A cursor cutting panes of `interval_ms` for windows of `spec`.
+/// *The* pane path: cuts a time-ordered stream into event-time panes and
+/// drives a [`PaneSink`] with them. Every push-driven engine — aggregated,
+/// batched, sharded, the distributed worker — embeds one driver and keeps
+/// only its substrate-specific sink, so the engines' pane-for-pane
+/// agreement is structural, and chunked and per-item ingestion cannot
+/// drift apart: [`push`](PaneDriver::push) and
+/// [`push_chunk`](PaneDriver::push_chunk) share one boundary routine.
+///
+/// The invariants every engine relies on:
+///
+/// * **Alignment** — panes are `[k·interval, (k+1)·interval)`: the first
+///   item opens the pane of the interval grid that contains it.
+/// * **Quiet intervals are empty panes** — when an item lies past the open
+///   pane's end, that pane and every interval between the two are closed
+///   in order (each a `close_pane` with nothing fed), so window assembly
+///   sees every pane and per-pane policy consultation keeps its cadence.
+/// * **Gap-jump horizon** — a gap longer than twice `window size + slide`
+///   holds only panes no window spanning data can cover, so after closing
+///   the open pane the driver jumps straight to the item's own pane: a
+///   far-future timestamp costs one pane, not one per elapsed interval
+///   (the matching window-side bound lives in [`PaneWindower::advance`]).
+/// * **Representable panes only** — an event time so close to the ends of
+///   `i64` that pane or window arithmetic on it could overflow is refused
+///   with an error *before* anything is closed or fed; the stream so far
+///   is untouched and later in-range items are still accepted. The check
+///   runs only where a pane is opened or advanced, never per item.
+/// * **Final flush** — between calls an open pane always holds at least
+///   one item, so [`finish`](PaneDriver::finish) closes it if there is
+///   one; trailing quiet intervals produce no pane.
+pub(crate) struct PaneDriver {
+    interval_ms: i64,
+    skip_horizon_ms: i64,
+    /// The open pane, once the first item has arrived.
+    open: Option<Window>,
+}
+
+impl PaneDriver {
+    /// A driver cutting panes of `interval_ms` for windows of `spec`.
     pub(crate) fn new(interval_ms: i64, spec: WindowSpec) -> Self {
         assert!(interval_ms > 0, "pane interval must be positive");
-        PaneCursor {
+        PaneDriver {
             interval_ms,
             skip_horizon_ms: 2 * (spec.size_millis() + spec.slide_millis()),
-            start: None,
+            open: None,
         }
     }
 
-    /// The open pane's `[start, end)`, once the first item has arrived.
-    pub(crate) fn pane(&self) -> Option<(i64, i64)> {
-        self.start.map(|s| (s, s.saturating_add(self.interval_ms)))
+    /// Feeds one item (event times non-decreasing across calls).
+    #[inline]
+    pub(crate) fn push<R, S: PaneSink<R>>(
+        &mut self,
+        item: StreamItem<R>,
+        sink: &mut S,
+    ) -> Result<(), SaError> {
+        self.open_pane_for(item.time, sink)?;
+        sink.observe(item)
     }
 
-    /// Prepares the cursor for an item at time `t` (non-decreasing):
-    /// `true` means the open pane must be closed first — close it, call
-    /// [`next`](PaneCursor::next), and ask again; `false` means the item
-    /// belongs to the open pane. The first item aligns the first pane to
-    /// its interval.
-    pub(crate) fn needs_close(&mut self, t: i64) -> bool {
-        match self.start {
-            None => {
-                self.start = Some(t.div_euclid(self.interval_ms) * self.interval_ms);
-                false
-            }
-            Some(s) => t >= s.saturating_add(self.interval_ms),
+    /// Feeds a time-ordered chunk: boundary work runs once per pane
+    /// portion, and each portion reaches the sink as one run — the whole
+    /// chunk, untouched, when it lies inside the open pane.
+    pub(crate) fn push_chunk<R, S: PaneSink<R>>(
+        &mut self,
+        mut items: Vec<StreamItem<R>>,
+        sink: &mut S,
+    ) -> Result<(), SaError> {
+        // The chunk is time-ordered, so its ends bound every item: refuse
+        // it whole rather than ingest a prefix of it.
+        if let Some(last) = items.last() {
+            self.pane_of(last.time)?;
         }
+        while let Some(first) = items.first() {
+            let end = self.open_pane_for(first.time, sink)?;
+            let n = items.partition_point(|it| it.time < end);
+            // Allocates (and copies the tail) only when the chunk straddles
+            // the pane end; the head is fed in place.
+            let rest = items.split_off(n);
+            sink.observe_run(&mut items)?;
+            items = rest;
+        }
+        Ok(())
     }
 
-    /// The open pane's start, for engine snapshots (`None` before the
-    /// first item).
+    /// Ends the stream: closes the open pane, if any.
+    pub(crate) fn finish<R, S: PaneSink<R>>(&mut self, sink: &mut S) -> Result<(), SaError> {
+        self.open
+            .take()
+            .map_or(Ok(()), |pane| sink.close_pane(pane))
+    }
+
+    /// The open pane's start in ms, for engine snapshots (`None` before
+    /// the first item).
     pub(crate) fn start(&self) -> Option<i64> {
-        self.start
+        self.open.map(|pane| pane.start.as_millis())
     }
 
-    /// Restores the open pane's start from a snapshot.
-    pub(crate) fn restore_start(&mut self, start: Option<i64>) {
-        self.start = start;
+    /// Restores the open pane from a snapshot's start.
+    ///
+    /// # Errors
+    ///
+    /// [`SaError::Checkpoint`] when `start` is not a representable pane of
+    /// this driver's interval grid — the snapshot was taken under another
+    /// pane interval, or is corrupt.
+    pub(crate) fn restore_start(&mut self, start: Option<i64>) -> Result<(), SaError> {
+        self.open = match start.map(EventTime::from_millis) {
+            None => None,
+            Some(at) => match self.pane_of(at) {
+                Ok(pane) if pane.start == at => Some(pane),
+                _ => {
+                    return Err(SaError::Checkpoint(format!(
+                        "snapshot pane start {at} is not a pane of this engine's {} ms interval",
+                        self.interval_ms
+                    )))
+                }
+            },
+        };
+        Ok(())
     }
 
-    /// Moves to the pane after a close: the adjacent interval, or — when
-    /// the item at `t` is beyond the skip horizon — the item's own pane.
-    pub(crate) fn next(&mut self, t: i64) {
-        let adjacent = self
-            .start
-            .expect("next follows a close")
-            .saturating_add(self.interval_ms);
-        let target = t.div_euclid(self.interval_ms) * self.interval_ms;
-        self.start = Some(if target - adjacent > self.skip_horizon_ms {
-            target
-        } else {
-            adjacent
-        });
+    /// The grid pane containing `time`, or the refusal for a time on which
+    /// pane or window arithmetic could overflow: one interval plus the
+    /// skip horizon of headroom at either end of `i64` keeps the pane's
+    /// own bounds, the watermark it becomes, and every window end derived
+    /// from that watermark representable.
+    fn pane_of(&self, time: EventTime) -> Result<Window, SaError> {
+        let t = time.as_millis();
+        let margin = self.interval_ms.saturating_add(self.skip_horizon_ms);
+        if t < i64::MIN.saturating_add(margin) || t > i64::MAX.saturating_sub(margin) {
+            return Err(SaError::InvalidConfig(format!(
+                "event time {t} ms is outside the range {} ms panes can represent",
+                self.interval_ms
+            )));
+        }
+        let start = EventTime::from_millis(t.div_euclid(self.interval_ms) * self.interval_ms);
+        Ok(Window::new(start, start + self.interval_ms))
+    }
+
+    /// Makes the pane containing `time` the open one and returns its end.
+    #[inline]
+    fn open_pane_for<R, S: PaneSink<R>>(
+        &mut self,
+        time: EventTime,
+        sink: &mut S,
+    ) -> Result<EventTime, SaError> {
+        match self.open {
+            Some(pane) if time < pane.end => Ok(pane.end),
+            _ => self.advance(time, sink),
+        }
+    }
+
+    /// The boundary routine: `time` is the first item's, or lies past the
+    /// open pane. Locates its pane first, so a refused item changes
+    /// nothing.
+    fn advance<R, S: PaneSink<R>>(
+        &mut self,
+        time: EventTime,
+        sink: &mut S,
+    ) -> Result<EventTime, SaError> {
+        let target = self.pane_of(time)?;
+        while let Some(pane) = self.open.filter(|pane| pane.end <= time) {
+            sink.close_pane(pane)?;
+            // Both panes sit on the interval grid, so `target` starts at
+            // or after `pane.end` and the adjacent pane ends no later than
+            // `target` does.
+            let gap = i64::saturating_sub(target.start.as_millis(), pane.end.as_millis());
+            self.open = Some(if gap > self.skip_horizon_ms {
+                target
+            } else {
+                Window::new(pane.end, pane.end + self.interval_ms)
+            });
+        }
+        self.open = Some(target);
+        Ok(target.end)
     }
 }
 
@@ -1338,6 +1464,201 @@ mod tests {
         // Both shards sampled ~50 of their 100: the union carries ~100 of
         // the 200 — the fraction budget split across shards, not doubled.
         assert_eq!(last, 100);
+    }
+
+    /// A sink that records what the driver hands it: the open pane's item
+    /// times, moved into `panes` with the pane's window at every close.
+    #[derive(Default)]
+    struct Recorder {
+        open: Vec<i64>,
+        panes: Vec<(Window, Vec<i64>)>,
+    }
+
+    impl PaneSink<()> for Recorder {
+        fn observe(&mut self, item: StreamItem<()>) -> Result<(), SaError> {
+            self.open.push(item.time.as_millis());
+            Ok(())
+        }
+
+        fn observe_run(&mut self, items: &mut Vec<StreamItem<()>>) -> Result<(), SaError> {
+            self.open
+                .extend(items.drain(..).map(|item| item.time.as_millis()));
+            Ok(())
+        }
+
+        fn close_pane(&mut self, pane: Window) -> Result<(), SaError> {
+            self.panes.push((pane, std::mem::take(&mut self.open)));
+            Ok(())
+        }
+    }
+
+    fn at(ms: i64) -> StreamItem<()> {
+        StreamItem::new(StratumId(0), EventTime::from_millis(ms), ())
+    }
+
+    /// One-second tumbling windows: a skip horizon of 4 s.
+    const SPEC_MS: i64 = 1_000;
+    const HORIZON_MS: i64 = 4 * SPEC_MS;
+
+    /// Cuts `times` into panes of `interval` and finishes: item by item
+    /// when `chunk_lens` is empty, else in chunks of those lengths
+    /// (cycled).
+    fn cut(times: &[i64], interval: i64, chunk_lens: &[usize]) -> Vec<(Window, Vec<i64>)> {
+        let mut driver = PaneDriver::new(interval, WindowSpec::tumbling_millis(SPEC_MS));
+        let mut sink = Recorder::default();
+        let mut rest: Vec<_> = times.iter().map(|&ms| at(ms)).collect();
+        if chunk_lens.is_empty() {
+            for item in rest {
+                driver.push(item, &mut sink).expect("in range");
+            }
+        } else {
+            for &len in chunk_lens.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let tail = rest.split_off(len.min(rest.len()));
+                let chunk = std::mem::replace(&mut rest, tail);
+                driver.push_chunk(chunk, &mut sink).expect("in range");
+            }
+        }
+        driver.finish(&mut sink).expect("recorder never fails");
+        assert!(sink.open.is_empty(), "finish left items unclosed");
+        sink.panes
+    }
+
+    #[test]
+    fn empty_input_yields_no_pane() {
+        assert!(cut(&[], 100, &[]).is_empty());
+        let mut driver = PaneDriver::new(100, WindowSpec::tumbling_millis(SPEC_MS));
+        let mut sink = Recorder::default();
+        driver.push_chunk(Vec::new(), &mut sink).expect("no-op");
+        driver.finish(&mut sink).expect("no-op");
+        assert!(sink.panes.is_empty());
+    }
+
+    #[test]
+    fn quiet_intervals_become_empty_panes_and_trailing_ones_none() {
+        let panes = cut(&[0, 2_500], 1_000, &[]);
+        assert_eq!(panes.len(), 3);
+        assert_eq!(panes[0].1, vec![0]);
+        assert!(panes[1].1.is_empty());
+        assert_eq!(panes[2].1, vec![2_500]);
+        assert_eq!(panes[2].0.end, EventTime::from_millis(3_000));
+    }
+
+    #[test]
+    fn first_pane_aligns_to_the_interval_grid() {
+        let panes = cut(&[1_250, 1_400], 500, &[]);
+        assert_eq!(panes[0].0.start, EventTime::from_millis(1_000));
+        let negative = cut(&[-1_250], 500, &[]);
+        assert_eq!(negative[0].0.start, EventTime::from_millis(-1_500));
+    }
+
+    #[test]
+    #[should_panic(expected = "pane interval must be positive")]
+    fn zero_interval_rejected() {
+        let _ = PaneDriver::new(0, WindowSpec::tumbling_millis(SPEC_MS));
+    }
+
+    #[test]
+    fn a_gap_past_the_horizon_is_jumped_not_walked() {
+        // Horizon 4 s at 1 s panes: a 5 s gap between pane ends is walked
+        // one empty pane at a time, anything longer costs a single close.
+        let walked = cut(&[0, 5_500], 1_000, &[]);
+        assert_eq!(walked.len(), 6);
+        let jumped = cut(&[0, 6_500], 1_000, &[]);
+        assert_eq!(jumped.len(), 2);
+        assert_eq!(jumped[1].0.start, EventTime::from_millis(6_000));
+        // Ends of the representable range: still one close, no overflow.
+        let far = cut(
+            &[-5_000_000_000_000_000_000, 5_000_000_000_000_000_000],
+            1_000,
+            &[],
+        );
+        assert_eq!(far.len(), 2);
+    }
+
+    #[test]
+    fn unrepresentable_times_are_refused_and_change_nothing() {
+        let mut driver = PaneDriver::new(1_000, WindowSpec::tumbling_millis(SPEC_MS));
+        let mut sink = Recorder::default();
+        for ms in [i64::MIN, i64::MIN + 10, i64::MAX] {
+            let err = driver.push(at(ms), &mut sink).unwrap_err();
+            assert!(matches!(err, SaError::InvalidConfig(_)), "{err}");
+            assert_eq!(driver.start(), None, "a refused item opened a pane");
+        }
+        driver.push(at(100), &mut sink).expect("in range");
+        // Refused mid-stream, per item and as the tail of a chunk: the
+        // open pane stays open and un-closed, the chunk's head un-fed.
+        assert!(driver.push(at(i64::MAX - 5), &mut sink).is_err());
+        assert!(driver
+            .push_chunk(vec![at(200), at(i64::MAX)], &mut sink)
+            .is_err());
+        assert_eq!(driver.start(), Some(0));
+        assert!(sink.panes.is_empty());
+        assert_eq!(sink.open, vec![100]);
+        // Later in-range items are still accepted.
+        driver.push(at(1_100), &mut sink).expect("in range");
+        assert_eq!(sink.panes.len(), 1);
+    }
+
+    #[test]
+    fn restore_accepts_only_panes_of_its_own_grid() {
+        let mut driver = PaneDriver::new(500, WindowSpec::tumbling_millis(SPEC_MS));
+        driver.restore_start(Some(1_500)).expect("on the grid");
+        assert_eq!(driver.start(), Some(1_500));
+        let mut sink = Recorder::default();
+        driver.push(at(2_100), &mut sink).expect("in range");
+        assert_eq!(sink.panes[0].0.end, EventTime::from_millis(2_000));
+        for bad in [1_250, i64::MAX - 7, i64::MIN] {
+            let err = driver.restore_start(Some(bad)).unwrap_err();
+            assert!(matches!(err, SaError::Checkpoint(_)), "{err}");
+        }
+        driver.restore_start(None).expect("nothing open");
+        assert_eq!(driver.start(), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Panes tile the stream — interval-long, contiguous except across
+        /// a jumped gap, every item inside its pane, none lost — and chunk
+        /// boundaries are invisible: any chunking of the same stream gives
+        /// the identical `(pane, items)` sequence as per-item pushes.
+        #[test]
+        fn panes_tile_the_stream_and_chunking_is_invisible(
+            gaps in proptest::collection::vec((0i64..600, 0u8..16), 1..300),
+            interval in 1i64..1_000,
+            chunk_lens in proptest::collection::vec(1usize..40, 1..8),
+        ) {
+            use proptest::prelude::*;
+            // Cumulative gaps, one in sixteen stretched past the horizon.
+            let mut t = -3_000i64;
+            let times: Vec<i64> = gaps
+                .iter()
+                .map(|&(gap, stretch)| {
+                    t += if stretch == 0 { gap * 100 } else { gap };
+                    t
+                })
+                .collect();
+            let panes = cut(&times, interval, &[]);
+            for (pane, items) in &panes {
+                prop_assert_eq!(pane.len_millis(), interval);
+                prop_assert_eq!(pane.start.as_millis().rem_euclid(interval), 0);
+                for &ms in items {
+                    prop_assert!(pane.contains(EventTime::from_millis(ms)));
+                }
+            }
+            for pair in panes.windows(2) {
+                let gap = pair[1].0.start.as_millis() - pair[0].0.end.as_millis();
+                // A jump lands on the pane of the item that caused it.
+                prop_assert!(gap == 0 || (gap > HORIZON_MS && !pair[1].1.is_empty()));
+            }
+            let fed: Vec<i64> = panes.iter().flat_map(|(_, items)| items.clone()).collect();
+            prop_assert_eq!(&fed, &times);
+            prop_assert!(panes.last().is_some_and(|(_, items)| !items.is_empty()));
+            prop_assert_eq!(cut(&times, interval, &chunk_lens), panes);
+        }
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //! [`start`]: StreamApprox::start
 
 use crate::aggregated::{AggregatedConfig, AggregatedEngine};
-use crate::batched::{BatchedConfig, BatchedEngine, BatchedSystem};
+use crate::batched::{BatchedConfig, BatchedEngine};
 use crate::checkpoint::{seal_session_snapshot, CheckpointStore, RecordCodec};
 use crate::cost::{confidence_for_budget, policy_for_budget, CostPolicy, PolicyHandle};
 use crate::engine::Engine;
 use crate::net::{DistributedConfig, DistributedSession};
 use crate::output::{RunOutput, WindowResult};
-use crate::pipelined::{PipelinedConfig, PipelinedEngine, PipelinedSystem};
+use crate::pipelined::{PipelinedConfig, PipelinedEngine};
 use crate::query::Query;
 use crate::sharded::{ShardedConfig, ShardedEngine};
 use sa_aggregator::Consumer;
@@ -168,19 +168,6 @@ impl<'p, R: 'p> StreamApprox<'p, R> {
         self
     }
 
-    /// Runs the session on the batched engine with an explicit system.
-    #[deprecated(
-        since = "0.1.0",
-        note = "fold the system into the config: `batched(config.with_system(system))`"
-    )]
-    #[must_use]
-    pub fn batched_with_system(self, config: BatchedConfig, system: BatchedSystem) -> Self
-    where
-        R: Send + Sync + Clone + 'static,
-    {
-        self.batched(config.with_system(system))
-    }
-
     /// Runs the session on the pipelined (Flink-style) engine. The system
     /// to run is part of [`PipelinedConfig`]; see
     /// [`PipelinedConfig::with_system`].
@@ -206,19 +193,6 @@ impl<'p, R: 'p> StreamApprox<'p, R> {
             }),
         };
         self
-    }
-
-    /// Runs the session on the pipelined engine with an explicit system.
-    #[deprecated(
-        since = "0.1.0",
-        note = "fold the system into the config: `pipelined(config.with_system(system))`"
-    )]
-    #[must_use]
-    pub fn pipelined_with_system(self, config: PipelinedConfig, system: PipelinedSystem) -> Self
-    where
-        R: Send + Sync + 'static,
-    {
-        self.pipelined(config.with_system(system))
     }
 
     /// Runs the session on the sharded data-parallel engine: items are
@@ -427,7 +401,10 @@ impl<'p, R> ApproxSession<'p, R> {
     /// [`SaError::OutOfOrder`] if the item's event time is behind the
     /// session watermark (the item is not ingested and counts as dropped
     /// late data in the session's [`IngestCounters`]; the session remains
-    /// usable), or [`SaError::Disconnected`] if the engine has shut down.
+    /// usable), [`SaError::InvalidConfig`] if the event time is so close
+    /// to the ends of `i64` that pane or window arithmetic on it would
+    /// overflow (the item is not ingested; the session remains usable),
+    /// or [`SaError::Disconnected`] if the engine has shut down.
     pub fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
         if let Some(watermark) = self.watermark {
             if item.time < watermark {
@@ -454,12 +431,15 @@ impl<'p, R> ApproxSession<'p, R> {
     /// accounting as [`ingest_consumer`](ApproxSession::ingest_consumer),
     /// so one straggler no longer aborts the rest of the batch. The kept
     /// subsequence is validated as one monotone run and forwarded to
-    /// [`Engine::push_chunk`] whole, so watermark checks and pane-cursor
+    /// [`Engine::push_chunk`] whole, so watermark checks and pane-boundary
     /// work run per run instead of per item.
     ///
     /// # Errors
     ///
-    /// [`SaError::Disconnected`] if the engine has shut down; items
+    /// [`SaError::InvalidConfig`] if a kept item's event time is
+    /// unrepresentable as under [`push`](ApproxSession::push) — the whole
+    /// batch is refused and none of it ingested;
+    /// [`SaError::Disconnected`] if the engine has shut down — items
     /// before the failure point may have been ingested, and the delta for
     /// the batch is lost with the run.
     pub fn push_batch(
@@ -791,32 +771,6 @@ mod tests {
             sa_types::Confidence::P997
         );
         assert!(StreamApprox::with_budget(query(), QueryBudget::SampleFraction(0.0)).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_system_shims_match_the_config_route() {
-        use crate::batched::BatchedSystem;
-        use sa_batched::Cluster;
-        let items: Vec<StreamItem<f64>> = (0..2_000)
-            .map(|ms| item(ms, f64::from(ms as u32 % 7)))
-            .collect();
-        let mut policy = FixedFraction(0.5);
-        let mut shim = StreamApprox::new(query(), &mut policy)
-            .batched_with_system(
-                BatchedConfig::new(Cluster::new(2)),
-                BatchedSystem::StreamApprox,
-            )
-            .start();
-        shim.push_batch(items.clone()).expect("in order");
-        let shim_out = shim.finish();
-        let mut policy = FixedFraction(0.5);
-        let mut direct = StreamApprox::new(query(), &mut policy)
-            .batched(BatchedConfig::new(Cluster::new(2)).with_system(BatchedSystem::StreamApprox))
-            .start();
-        direct.push_batch(items).expect("in order");
-        let direct_out = direct.finish();
-        assert_eq!(shim_out.windows, direct_out.windows);
     }
 
     #[test]

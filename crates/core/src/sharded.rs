@@ -57,20 +57,22 @@
 //! holds that oracle); with many shards the answers agree statistically,
 //! within the estimators' confidence bounds.
 
-use crate::checkpoint::{decode_directive, encode_directive, RecordCodec};
+use crate::checkpoint::{
+    decode_directive, encode_directive, require_codec, require_engine, RecordCodec,
+};
 use crate::combine::PanePayload;
 use crate::cost::PolicyHandle;
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
-use crate::runtime::{ApproxRuntime, IntervalWorker, PaneCursor, ShardSet, WorkerPane};
+use crate::runtime::{ApproxRuntime, IntervalWorker, PaneDriver, PaneSink, ShardSet, WorkerPane};
 use crossbeam::spsc;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sa_types::wire::put_varint;
 use sa_types::{
-    EngineSnapshot, EventTime, RunSeed, SaError, ShardIngest, StreamItem, Window, WireDecode,
-    WireEncode, WireReader,
+    EngineSnapshot, RunSeed, SaError, ShardIngest, StreamItem, Window, WireDecode, WireEncode,
+    WireReader,
 };
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -277,12 +279,20 @@ fn shard_loop<R>(
 }
 
 /// The sharded substrate as an incremental [`Engine`]; see the module
-/// docs for the execution model.
+/// docs for the execution model. The [`PaneDriver`] cuts the panes; the
+/// sink is the shard fabric they are routed into.
 pub(crate) struct ShardedEngine<'p, R> {
+    driver: PaneDriver,
+    sink: ShardedSink<'p, R>,
+    codec: Option<RecordCodec<R>>,
+}
+
+/// The sharded engine's [`PaneSink`]: routes the open pane's items over
+/// the ring fabric and turns a pane close into a deferred barrier.
+struct ShardedSink<'p, R> {
     runtime: ApproxRuntime<'p, R>,
     shard_set: ShardSet<R>,
     config: ShardedConfig,
-    cursor: PaneCursor,
     to_shards: Vec<spsc::Producer<ToShard<R>>>,
     from_shards: Vec<spsc::Consumer<FromShard<R>>>,
     threads: Vec<JoinHandle<()>>,
@@ -299,7 +309,6 @@ pub(crate) struct ShardedEngine<'p, R> {
     /// Per-shard worker-state answers to an in-flight snapshot request;
     /// `None` when no snapshot is being collected.
     pending_snapshots: Option<Vec<Option<Vec<u8>>>>,
-    codec: Option<RecordCodec<R>>,
     pane_open: bool,
     first_pane: bool,
     pane_arrived: u64,
@@ -322,7 +331,7 @@ where
         let pane_ms = config
             .pane_interval_ms
             .unwrap_or_else(|| query.window().slide_millis());
-        let cursor = PaneCursor::new(pane_ms, query.window());
+        let driver = PaneDriver::new(pane_ms, query.window());
         let runtime = ApproxRuntime::new(&query, policy, config.seed, config.shards);
         let shard_set = ShardSet::new(config.shards, config.seed, query.projection());
         let mut to_shards = Vec::with_capacity(config.shards);
@@ -339,11 +348,10 @@ where
             from_shards.push(ret_rx);
             threads.push(std::thread::spawn(move || shard_loop(cmd_rx, ret_tx)));
         }
-        ShardedEngine {
+        let sink = ShardedSink {
             runtime,
             shard_set,
             config,
-            cursor,
             to_shards,
             from_shards,
             threads,
@@ -365,7 +373,6 @@ where
                 .collect(),
             pending: None,
             pending_snapshots: None,
-            codec,
             pane_open: false,
             first_pane: true,
             pane_arrived: 0,
@@ -373,21 +380,30 @@ where
             pane_idx: 0,
             seq: 0,
             alive: true,
+        };
+        ShardedEngine {
+            driver,
+            sink,
+            codec,
         }
     }
+}
 
+impl<R> ShardedSink<'_, R>
+where
+    R: Send + Sync + 'static,
+{
     fn dead(&mut self) -> SaError {
         self.alive = false;
         SaError::Disconnected("sharded worker thread died")
     }
 
-    fn require_codec(&self) -> Result<RecordCodec<R>, SaError> {
-        self.codec.ok_or_else(|| {
-            SaError::Checkpoint(
-                "engine built without a record codec; enable with StreamApprox::checkpointable"
-                    .into(),
-            )
-        })
+    fn check_alive(&self) -> Result<(), SaError> {
+        if self.alive {
+            Ok(())
+        } else {
+            Err(SaError::Disconnected("sharded worker thread died"))
+        }
     }
 
     /// Returns a drained buffer to the freelist. No cap is needed: a
@@ -453,8 +469,8 @@ where
         }
     }
 
-    /// Opens the cursor's current pane if none is open: consults the cost
-    /// policy and, when its directive changed (or this is the first
+    /// Arms the pane the driver just opened, unless it already is: consults
+    /// the cost policy and, when its directive changed (or this is the first
     /// pane), arms every shard with a fresh worker. The arm command is
     /// FIFO-ordered behind the just-broadcast close, so the retiring
     /// worker still answers its pane before being replaced. With an
@@ -462,6 +478,7 @@ where
     /// adaptation carries across panes exactly like the single-threaded
     /// sampler pool.
     fn ensure_armed(&mut self) -> Result<(), SaError> {
+        self.check_alive()?;
         if self.pane_open {
             return Ok(());
         }
@@ -486,6 +503,19 @@ where
         self.first_pane = false;
         self.pane_open = true;
         self.pane_arrived = 0;
+        Ok(())
+    }
+
+    /// Routes the stream's next item into its shard's buffer, shipping the
+    /// buffer when it reaches chunk size.
+    #[inline]
+    fn route(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
+        let shard = self.shard_set.route(item.stratum, self.seq);
+        self.seq += 1;
+        self.buffers[shard].push(item);
+        if self.buffers[shard].len() >= self.config.chunk_items {
+            self.flush(shard)?;
+        }
         Ok(())
     }
 
@@ -521,10 +551,8 @@ where
     /// the next pane's chunks; the caller merges when the barrier
     /// resolves. Strict depth-1: any previous barrier is settled first,
     /// so every incoming answer belongs to exactly one pane.
-    fn begin_close(&mut self) -> Result<(), SaError> {
+    fn begin_close(&mut self, window: Window) -> Result<(), SaError> {
         self.resolve_pending()?;
-        let (start, end) = self.cursor.pane().expect("begin_close needs an open pane");
-        let window = Window::new(EventTime::from_millis(start), EventTime::from_millis(end));
         // Only the barrier is clocked: routing stays clock-free, at the
         // price of process_nanos under-reporting the (concurrent)
         // per-item observe cost, like the aggregated engine.
@@ -610,6 +638,7 @@ where
     /// answered — the overlap's happy path, merging mid-ingest without
     /// ever waiting on a shard.
     fn try_resolve(&mut self) -> Result<(), SaError> {
+        self.check_alive()?;
         if self.pending.is_none() {
             return Ok(());
         }
@@ -628,123 +657,94 @@ where
     }
 }
 
+impl<R> PaneSink<R> for ShardedSink<'_, R>
+where
+    R: Send + Sync + 'static,
+{
+    #[inline]
+    fn observe(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
+        self.ensure_armed()?;
+        self.pane_arrived += 1;
+        self.route(item)
+    }
+
+    /// Arm checks run once per run; routing stays per item by contract —
+    /// `route(stratum, seq)` — but costs no RNG or locks.
+    fn observe_run(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError> {
+        self.ensure_armed()?;
+        self.pane_arrived += items.len() as u64;
+        items.drain(..).try_for_each(|item| self.route(item))
+    }
+
+    /// A quiet interval is armed first, so it consults the policy like
+    /// any other pane (mirroring the batched engine).
+    fn close_pane(&mut self, pane: Window) -> Result<(), SaError> {
+        self.ensure_armed()?;
+        self.begin_close(pane)
+    }
+}
+
 impl<R> Engine<R> for ShardedEngine<'_, R>
 where
     R: Send + Sync + 'static,
 {
     fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
-        if !self.alive {
-            return Err(SaError::Disconnected("sharded worker thread died"));
-        }
-        // The shared cursor aligns the first pane to the first item's
-        // interval, yields quiet intervals as empty panes (each consulting
-        // the policy, mirroring the batched engine), and jumps oversized
-        // gaps.
-        let t = item.time.as_millis();
-        while self.cursor.needs_close(t) {
-            self.ensure_armed()?;
-            self.begin_close()?;
-            self.cursor.next(t);
-        }
-        self.ensure_armed()?;
-        let shard = self.shard_set.route(item.stratum, self.seq);
-        self.seq += 1;
-        self.pane_arrived += 1;
-        self.buffers[shard].push(item);
-        if self.buffers[shard].len() >= self.config.chunk_items {
-            self.flush(shard)?;
-        }
-        Ok(())
+        self.driver.push(item, &mut self.sink)
     }
 
-    fn push_chunk(&mut self, mut items: Vec<StreamItem<R>>) -> Result<(), SaError> {
-        if !self.alive {
-            return Err(SaError::Disconnected("sharded worker thread died"));
-        }
+    fn push_chunk(&mut self, items: Vec<StreamItem<R>>) -> Result<(), SaError> {
         // Merge mid-ingest when the previous pane's answers are already
         // in — one cheap ring sweep per chunk call, not per item.
-        self.try_resolve()?;
-        // The batch fast path: pane-cursor and arm checks run once per
-        // pane portion, then the portion is routed item-by-item (routing
-        // is per-item by contract — `route(stratum, seq)` — but costs no
-        // RNG or locks) into the shard buffers. Identical routing/flush
-        // sequence to the per-item loop.
-        while !items.is_empty() {
-            let t = items[0].time.as_millis();
-            while self.cursor.needs_close(t) {
-                self.ensure_armed()?;
-                self.begin_close()?;
-                self.cursor.next(t);
-            }
-            self.ensure_armed()?;
-            let (_, end) = self.cursor.pane().expect("pane open after needs_close");
-            let n = items.partition_point(|it| it.time.as_millis() < end);
-            let rest = items.split_off(n);
-            self.pane_arrived += items.len() as u64;
-            for item in items {
-                let shard = self.shard_set.route(item.stratum, self.seq);
-                self.seq += 1;
-                self.buffers[shard].push(item);
-                if self.buffers[shard].len() >= self.config.chunk_items {
-                    self.flush(shard)?;
-                }
-            }
-            items = rest;
-        }
-        Ok(())
+        self.sink.try_resolve()?;
+        self.driver.push_chunk(items, &mut self.sink)
     }
 
     fn poll_windows(&mut self) -> Vec<WindowResult> {
         // Settle a completed barrier so its windows are observable now;
         // an error here resurfaces on the next push/finish.
-        if self.alive {
-            let _ = self.try_resolve();
-        }
-        self.runtime.take_windows()
+        let _ = self.sink.try_resolve();
+        self.sink.runtime.take_windows()
     }
 
     fn settle(&mut self) -> Result<(), SaError> {
-        if !self.alive {
-            return Err(SaError::Disconnected("sharded worker thread died"));
-        }
-        self.resolve_pending()
+        self.sink.check_alive()?;
+        self.sink.resolve_pending()
     }
 
     fn shard_ingest(&self) -> Vec<ShardIngest> {
         // Read-only by contract: counters are as of the last settled
         // barrier — callers that need them no staler than the last closed
         // pane call `settle` first (the session's status path does).
-        self.counters.clone()
+        self.sink.counters.clone()
     }
 
     fn panes_closed(&self) -> u64 {
-        self.runtime.panes_closed()
+        self.sink.runtime.panes_closed()
     }
 
     fn snapshot(&mut self) -> Result<EngineSnapshot, SaError> {
-        let codec = self.require_codec()?;
-        if !self.alive {
-            return Err(SaError::Disconnected("sharded worker thread died"));
-        }
+        let codec = require_codec(self.codec)?;
+        let sink = &mut self.sink;
+        sink.check_alive()?;
         // Quiesce the fabric: settle the in-flight barrier, hand every
         // buffered item to its shard, then ask each shard (FIFO behind
         // those chunks) for its serialized worker. The engine keeps
         // running afterwards — the snapshot is a pure read.
-        self.resolve_pending()?;
-        let shards = self.shard_set.num_shards();
+        sink.resolve_pending()?;
+        let shards = sink.shard_set.num_shards();
         for shard in 0..shards {
-            self.flush(shard)?;
+            sink.flush(shard)?;
         }
-        self.pending_snapshots = Some((0..shards).map(|_| None).collect());
+        sink.pending_snapshots = Some((0..shards).map(|_| None).collect());
         for shard in 0..shards {
-            self.send(shard, ToShard::Snapshot(codec))?;
+            sink.send(shard, ToShard::Snapshot(codec))?;
         }
         let mut spins = 0u32;
         loop {
             for shard in 0..shards {
-                self.drain_returns(shard)?;
+                sink.drain_returns(shard)?;
             }
-            let slots = self.pending_snapshots.as_ref().expect("requested above");
+            let slots = sink.pending_snapshots.as_ref().expect("requested above");
             if slots.iter().all(Option::is_some) {
                 break;
             }
@@ -755,18 +755,18 @@ where
                 std::thread::yield_now();
             }
         }
-        let slots = self.pending_snapshots.take().expect("collected above");
+        let slots = sink.pending_snapshots.take().expect("collected above");
         let mut state = Vec::new();
-        self.cursor.start().encode(&mut state);
-        put_varint(&mut state, self.seq);
-        put_varint(&mut state, self.pane_idx);
-        put_varint(&mut state, self.pane_arrived);
-        put_varint(&mut state, self.prev_pane_arrived as u64);
-        self.first_pane.encode(&mut state);
-        self.pane_open.encode(&mut state);
-        self.counters.encode(&mut state);
-        self.counter_base.encode(&mut state);
-        match self.shard_set.directive() {
+        self.driver.start().encode(&mut state);
+        put_varint(&mut state, sink.seq);
+        put_varint(&mut state, sink.pane_idx);
+        put_varint(&mut state, sink.pane_arrived);
+        put_varint(&mut state, sink.prev_pane_arrived as u64);
+        sink.first_pane.encode(&mut state);
+        sink.pane_open.encode(&mut state);
+        sink.counters.encode(&mut state);
+        sink.counter_base.encode(&mut state);
+        match sink.shard_set.directive() {
             None => 0u8.encode(&mut state),
             Some(directive) => {
                 1u8.encode(&mut state);
@@ -776,40 +776,34 @@ where
         for blob in &slots {
             state.extend_from_slice(blob.as_deref().expect("every slot collected"));
         }
-        self.runtime.encode_state(codec, &mut state);
+        sink.runtime.encode_state(codec, &mut state);
         Ok(EngineSnapshot {
             engine: "sharded".into(),
-            pane: self.cursor.start(),
+            pane: self.driver.start(),
             state,
         })
     }
 
     fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), SaError> {
-        let codec = self.require_codec()?;
-        if snapshot.engine != "sharded" {
-            return Err(SaError::Checkpoint(format!(
-                "cannot restore a '{}' snapshot into the sharded engine",
-                snapshot.engine
-            )));
-        }
-        if !self.alive {
-            return Err(SaError::Disconnected("sharded worker thread died"));
-        }
+        let codec = require_codec(self.codec)?;
+        require_engine(snapshot, "sharded")?;
+        let sink = &mut self.sink;
+        sink.check_alive()?;
         let mut r = WireReader::new(&snapshot.state);
-        self.cursor.restore_start(Option::decode(&mut r)?);
-        self.seq = r.read_varint()?;
-        self.pane_idx = r.read_varint()?;
-        self.pane_arrived = r.read_varint()?;
-        self.prev_pane_arrived = usize::decode(&mut r)?;
-        self.first_pane = bool::decode(&mut r)?;
-        self.pane_open = bool::decode(&mut r)?;
-        self.counters = Vec::decode(&mut r)?;
-        self.counter_base = Vec::decode(&mut r)?;
-        let shards = self.shard_set.num_shards();
-        if self.counters.len() != shards || self.counter_base.len() != shards {
+        self.driver.restore_start(Option::decode(&mut r)?)?;
+        sink.seq = r.read_varint()?;
+        sink.pane_idx = r.read_varint()?;
+        sink.pane_arrived = r.read_varint()?;
+        sink.prev_pane_arrived = usize::decode(&mut r)?;
+        sink.first_pane = bool::decode(&mut r)?;
+        sink.pane_open = bool::decode(&mut r)?;
+        sink.counters = Vec::decode(&mut r)?;
+        sink.counter_base = Vec::decode(&mut r)?;
+        let shards = sink.shard_set.num_shards();
+        if sink.counters.len() != shards || sink.counter_base.len() != shards {
             return Err(SaError::Checkpoint(format!(
                 "snapshot covers {} shards but the engine has {shards}",
-                self.counters.len()
+                sink.counters.len()
             )));
         }
         let directive = match u8::decode(&mut r)? {
@@ -820,41 +814,37 @@ where
         // Force the armed directive so the next `ensure_armed` compares
         // against what the restored workers are actually running, instead
         // of rearming fresh ones over them.
-        self.shard_set.force_directive(directive);
-        let proj = self.shard_set.projection();
+        sink.shard_set.force_directive(directive);
+        let proj = sink.shard_set.projection();
         for shard in 0..shards {
             match u8::decode(&mut r)? {
                 0 => {}
                 1 => {
                     let worker = IntervalWorker::decode_state(&mut r, codec, Arc::clone(&proj))?;
-                    self.send(shard, ToShard::Arm(Box::new(worker)))?;
+                    sink.send(shard, ToShard::Arm(Box::new(worker)))?;
                 }
                 tag => {
                     return Err(SaError::Wire(format!("unknown shard-worker tag {tag}")));
                 }
             }
         }
-        self.runtime.restore_state(&mut r, codec)?;
+        sink.runtime.restore_state(&mut r, codec)?;
         r.finish()
     }
 
     fn finish(mut self: Box<Self>) -> RunOutput {
-        // A trailing pane exists exactly when items arrived since the
-        // last boundary, mirroring the batched engine. A dead shard loses
-        // its trailing pane, like an operator death on the pipelined
-        // engine.
-        if self.alive {
-            if self.pane_open {
-                let _ = self.begin_close();
-            }
-            let _ = self.resolve_pending();
+        // A dead shard loses its trailing pane, like an operator death on
+        // the pipelined engine.
+        let _ = self.driver.finish(&mut self.sink);
+        if self.sink.alive {
+            let _ = self.sink.resolve_pending();
         }
-        let ShardedEngine {
+        let ShardedSink {
             runtime,
             to_shards,
             threads,
             ..
-        } = *self;
+        } = self.sink;
         // Dropping the command producers ends every shard loop; join so
         // no thread outlives the run.
         drop(to_shards);

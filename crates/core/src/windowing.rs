@@ -93,7 +93,10 @@ impl<P: Clone> PaneWindower<P> {
             // construction. Strips are clamped to `(prev, wm]`, merged
             // while overlapping, and enumerated in order, so each window
             // appears exactly once and end-order is preserved.
-            let mut strips = vec![(prev, prev.saturating_add(span)), (wm - span, wm)];
+            let mut strips = vec![
+                (prev, prev.saturating_add(span)),
+                (wm.saturating_sub(span), wm),
+            ];
             // One strip per stored pane — not one strip across them all,
             // which would span the very gap being skipped when panes sit
             // on both of its sides.
@@ -139,7 +142,7 @@ impl<P: Clone> PaneWindower<P> {
             .collect();
         // Panes older than any window still open can be dropped: an open
         // window ends after the watermark, so it starts after wm − size.
-        let horizon = self.watermark.as_millis() - self.spec.size_millis();
+        let horizon = wm.saturating_sub(self.spec.size_millis());
         self.panes = self.panes.split_off(&horizon.max(0));
         out
     }
@@ -165,8 +168,13 @@ impl<P: Clone> PaneWindower<P> {
         };
         // The latest window containing the last pane starts at the slide
         // multiple at or before it; closing that window closes them all.
+        // Saturating, so a pane start within a slide of either end of
+        // `i64` clamps instead of wrapping, however it got here.
         let slide = self.spec.slide_millis();
-        let target = last_start.div_euclid(slide) * slide + self.spec.size_millis();
+        let target = last_start
+            .div_euclid(slide)
+            .saturating_mul(slide)
+            .saturating_add(self.spec.size_millis());
         self.advance(EventTime::from_millis(target))
     }
 }

@@ -10,8 +10,10 @@
 //!   operators the paper benchmarks: Bernoulli `sample_fraction`,
 //!   distributed-ScaSRS `sample_exact` (SRS baseline), and the
 //!   groupBy-then-sort `sample_stratified_exact` (STS baseline).
-//! * [`MicroBatcher`] — event-time micro-batch formation, the front door
-//!   of the batched model.
+//! * [`MicroBatch`] and [`completed_windows`] — one batch interval's
+//!   items, and the windows a watermark advance completes. Cutting a
+//!   stream into batches is not done here: every `streamapprox` engine
+//!   shares one pane driver for that.
 //!
 //! The division of labour with the `streamapprox` crate: this crate is the
 //! *substrate* (it knows nothing about query budgets or error bounds);
@@ -23,20 +25,16 @@
 //! # Example
 //!
 //! ```
-//! use sa_batched::{Cluster, MicroBatcher, Pds};
+//! use sa_batched::{Cluster, Pds};
 //! use sa_types::{StreamItem, StratumId, EventTime};
 //!
 //! let cluster = Cluster::new(2);
-//! let items: Vec<_> = (0..100)
-//!     .map(|i| StreamItem::new(StratumId(0), EventTime::from_millis(i * 10), i as u64))
+//! let batch: Vec<_> = (0..100)
+//!     .map(|i| StreamItem::new(StratumId(0), EventTime::from_millis(i), i as u64))
 //!     .collect();
-//! let mut total = 0u64;
-//! for batch in MicroBatcher::new(items.into_iter(), 250) {
-//!     let pds = Pds::from_vec(batch.items, 4);
-//!     total += pds
-//!         .map(&cluster, |it| it.value)
-//!         .aggregate(&cluster, 0u64, |a, x| a + x, |a, b| a + b);
-//! }
+//! let total = Pds::from_vec(batch, 4)
+//!     .map(&cluster, |it| it.value)
+//!     .aggregate(&cluster, 0u64, |a, x| a + x, |a, b| a + b);
 //! assert_eq!(total, (0..100).sum::<u64>());
 //! ```
 
@@ -49,4 +47,4 @@ mod streaming;
 
 pub use cluster::Cluster;
 pub use pds::Pds;
-pub use streaming::{completed_windows, MicroBatch, MicroBatcher};
+pub use streaming::{completed_windows, MicroBatch};

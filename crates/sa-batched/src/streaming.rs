@@ -1,10 +1,13 @@
-//! Micro-batch formation: the batched stream-processing model (§2.2).
+//! Micro-batches and window completion: the batched stream-processing
+//! model (§2.2).
 //!
 //! "An input data stream is divided into small batches using a pre-defined
 //! batch interval, and each such batch is processed via a distributed
-//! data-parallel job." [`MicroBatcher`] performs the division by event time;
-//! what job runs per batch is the caller's business (the StreamApprox
-//! runners sample *before* forming the dataset, the baselines after).
+//! data-parallel job." A [`MicroBatch`] is one such batch; the division by
+//! event time is the `streamapprox` runtime's pane driver, shared by every
+//! engine, and what job runs per batch is the caller's business (the
+//! StreamApprox runners sample *before* forming the dataset, the baselines
+//! after).
 
 use sa_types::{EventTime, StreamItem, Window, WindowSpec};
 
@@ -30,95 +33,6 @@ impl<T> MicroBatch<T> {
     }
 }
 
-/// Splits a time-ordered item stream into contiguous micro-batches of
-/// `batch_interval_ms`, emitting empty batches for quiet intervals so
-/// downstream window bookkeeping sees every pane.
-///
-/// # Example
-///
-/// ```
-/// use sa_batched::MicroBatcher;
-/// use sa_types::{StreamItem, StratumId, EventTime};
-///
-/// let items = vec![
-///     StreamItem::new(StratumId(0), EventTime::from_millis(100), 1u32),
-///     StreamItem::new(StratumId(0), EventTime::from_millis(1_200), 2u32),
-/// ];
-/// let batches: Vec<_> = MicroBatcher::new(items.into_iter(), 500).collect();
-/// // Batches [0,500) [500,1000) [1000,1500): the middle one is empty.
-/// assert_eq!(batches.len(), 3);
-/// assert_eq!(batches[0].len(), 1);
-/// assert!(batches[1].is_empty());
-/// assert_eq!(batches[2].len(), 1);
-/// ```
-#[derive(Debug)]
-pub struct MicroBatcher<T, I: Iterator<Item = StreamItem<T>>> {
-    input: std::iter::Peekable<I>,
-    batch_interval_ms: i64,
-    next_start: Option<EventTime>,
-}
-
-impl<T, I: Iterator<Item = StreamItem<T>>> MicroBatcher<T, I> {
-    /// Creates a batcher over a time-ordered input stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_interval_ms` is not positive.
-    pub fn new(input: I, batch_interval_ms: i64) -> Self {
-        assert!(batch_interval_ms > 0, "batch interval must be positive");
-        MicroBatcher {
-            input: input.peekable(),
-            batch_interval_ms,
-            next_start: None,
-        }
-    }
-
-    /// The batch interval in milliseconds.
-    pub fn batch_interval_ms(&self) -> i64 {
-        self.batch_interval_ms
-    }
-
-    fn batch_start_for(&self, t: EventTime) -> EventTime {
-        let ms = t.as_millis().div_euclid(self.batch_interval_ms) * self.batch_interval_ms;
-        EventTime::from_millis(ms)
-    }
-}
-
-impl<T, I: Iterator<Item = StreamItem<T>>> Iterator for MicroBatcher<T, I> {
-    type Item = MicroBatch<T>;
-
-    fn next(&mut self) -> Option<MicroBatch<T>> {
-        let start = match self.next_start {
-            Some(s) => s,
-            None => {
-                // Align the first batch to the first item's interval.
-                let first_time = self.input.peek()?.time;
-                let s = self.batch_start_for(first_time);
-                self.next_start = Some(s);
-                s
-            }
-        };
-        // If the input is exhausted and no batch is pending, stop.
-        self.input.peek()?;
-        let end = start + self.batch_interval_ms;
-        let window = Window::new(start, end);
-        let mut items = Vec::new();
-        while let Some(peeked) = self.input.peek() {
-            debug_assert!(
-                peeked.time >= start,
-                "input items must be in event-time order"
-            );
-            if peeked.time < end {
-                items.push(self.input.next().expect("peeked item"));
-            } else {
-                break;
-            }
-        }
-        self.next_start = Some(end);
-        Some(MicroBatch { window, items })
-    }
-}
-
 /// Enumerates the sliding windows of `spec` that are *complete* once every
 /// batch up to `watermark` has been processed — i.e. windows whose end is
 /// at or before the watermark and after `previous_watermark`.
@@ -130,15 +44,16 @@ pub fn completed_windows(
     let slide = spec.slide_millis();
     let size = spec.size_millis();
     let mut out = Vec::new();
-    // Window ends are at start + size where start is a multiple of slide.
-    let first_end = {
-        let prev = previous_watermark.as_millis();
-        // Smallest end > prev.
-        let k = (prev - size).div_euclid(slide) + 1;
-        k.max(0) * slide + size
-    };
-    let mut end = first_end;
-    while end <= watermark.as_millis() {
+    // Window ends are at start + size where start is a multiple of slide;
+    // the smallest end > prev comes first. Ends that `i64` cannot hold
+    // are not windows: enumeration stops there instead of overflowing.
+    let prev = previous_watermark.as_millis();
+    let k = prev.saturating_sub(size).div_euclid(slide) + 1;
+    let mut next = k
+        .max(0)
+        .checked_mul(slide)
+        .and_then(|s| s.checked_add(size));
+    while let Some(end) = next.filter(|&end| end <= watermark.as_millis()) {
         let start = end - size;
         if start >= 0 {
             out.push(Window::new(
@@ -146,7 +61,7 @@ pub fn completed_windows(
                 EventTime::from_millis(end),
             ));
         }
-        end += slide;
+        next = end.checked_add(slide);
     }
     out
 }
@@ -154,59 +69,6 @@ pub fn completed_windows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_types::StratumId;
-
-    fn item(ms: i64) -> StreamItem<u32> {
-        StreamItem::new(StratumId(0), EventTime::from_millis(ms), ms as u32)
-    }
-
-    #[test]
-    fn batches_partition_the_stream() {
-        let items: Vec<_> = (0..1_000).map(|i| item(i * 7)).collect();
-        let batches: Vec<_> = MicroBatcher::new(items.into_iter(), 500).collect();
-        let total: usize = batches.iter().map(MicroBatch::len).sum();
-        assert_eq!(total, 1_000);
-        for b in &batches {
-            assert_eq!(b.window.len_millis(), 500);
-            for it in &b.items {
-                assert!(b.window.contains(it.time));
-            }
-        }
-        // Batches are contiguous.
-        for w in batches.windows(2) {
-            assert_eq!(w[0].window.end, w[1].window.start);
-        }
-    }
-
-    #[test]
-    fn empty_input_yields_no_batches() {
-        let batches: Vec<_> =
-            MicroBatcher::new(std::iter::empty::<StreamItem<u32>>(), 100).collect();
-        assert!(batches.is_empty());
-    }
-
-    #[test]
-    fn quiet_intervals_become_empty_batches() {
-        let items = vec![item(0), item(2_500)];
-        let batches: Vec<_> = MicroBatcher::new(items.into_iter(), 1_000).collect();
-        assert_eq!(batches.len(), 3);
-        assert_eq!(batches[0].len(), 1);
-        assert!(batches[1].is_empty());
-        assert_eq!(batches[2].len(), 1);
-    }
-
-    #[test]
-    fn first_batch_aligns_to_interval_grid() {
-        let items = vec![item(1_250), item(1_400)];
-        let batches: Vec<_> = MicroBatcher::new(items.into_iter(), 500).collect();
-        assert_eq!(batches[0].window.start, EventTime::from_millis(1_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "batch interval must be positive")]
-    fn zero_interval_rejected() {
-        let _ = MicroBatcher::new(std::iter::empty::<StreamItem<u32>>(), 0);
-    }
 
     #[test]
     fn completed_windows_progress_with_watermark() {
@@ -220,6 +82,17 @@ mod tests {
         assert_eq!(w2.len(), 2);
         assert_eq!(w2[0].start, EventTime::from_secs(5));
         assert_eq!(w2[1].start, EventTime::from_secs(10));
+    }
+
+    #[test]
+    fn completed_windows_stop_at_the_end_of_time() {
+        // The last representable ends are enumerated, then the loop stops
+        // rather than overflowing `end + slide`.
+        let spec = WindowSpec::tumbling_millis(1_000);
+        let near_max = EventTime::from_millis(i64::MAX - 2_500);
+        let done = completed_windows(spec, near_max, EventTime::from_millis(i64::MAX));
+        assert_eq!(done.len(), 2);
+        assert!(done[1].end.as_millis() > i64::MAX - 1_000);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! partitioning and cluster shapes.
 
 use proptest::prelude::*;
-use sa_batched::{Cluster, MicroBatcher, Pds};
-use sa_types::{EventTime, StratumId, StreamItem};
+use sa_batched::{Cluster, Pds};
 use std::collections::HashMap;
 
 fn cluster() -> Cluster {
@@ -121,38 +120,6 @@ proptest! {
         got.dedup();
         prop_assert_eq!(got.len(), k.min(n));
         prop_assert!(got.iter().all(|&x| x < n));
-    }
-
-    /// Micro-batches tile the stream: contiguous, ordered, non-overlapping,
-    /// and every item lands in the batch containing its timestamp.
-    #[test]
-    fn micro_batches_tile_the_stream(
-        gaps in proptest::collection::vec(0i64..600, 1..300),
-        interval in 1i64..1000,
-    ) {
-        // Build a time-ordered stream from cumulative gaps.
-        let mut t = 0i64;
-        let items: Vec<StreamItem<i64>> = gaps
-            .iter()
-            .map(|&g| {
-                t += g;
-                StreamItem::new(StratumId(0), EventTime::from_millis(t), t)
-            })
-            .collect();
-        let total = items.len();
-        let batches: Vec<_> = MicroBatcher::new(items.into_iter(), interval).collect();
-        let mut count = 0usize;
-        for pair in batches.windows(2) {
-            prop_assert_eq!(pair[0].window.end, pair[1].window.start);
-        }
-        for b in &batches {
-            prop_assert_eq!(b.window.len_millis(), interval);
-            for item in &b.items {
-                prop_assert!(b.window.contains(item.time));
-                count += 1;
-            }
-        }
-        prop_assert_eq!(count, total);
     }
 }
 

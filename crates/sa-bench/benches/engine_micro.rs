@@ -3,7 +3,7 @@
 //! expensive) and raw pipeline streaming throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use sa_batched::{Cluster, MicroBatcher, Pds};
+use sa_batched::{Cluster, Pds};
 use sa_pipelined::{Exchange, Flow, Map};
 use sa_types::{EventTime, StratumId, StreamItem};
 
@@ -41,13 +41,6 @@ fn bench_batched(c: &mut Criterion) {
         b.iter_batched(
             || Pds::from_vec((0..100_000u64).map(|i| (i % 64, i)).collect::<Vec<_>>(), 4),
             |pds| pds.group_by_key(&cluster).count(),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("micro_batcher_100k", |b| {
-        b.iter_batched(
-            || items(100_000),
-            |stream| MicroBatcher::new(stream.into_iter(), 250).count(),
             BatchSize::SmallInput,
         )
     });

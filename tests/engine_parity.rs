@@ -453,6 +453,28 @@ fn push_chunk_is_bit_identical_to_per_item_push() {
                     .start()
             }),
         ),
+        (
+            // The distributed worker, K=1 over loopback TCP: the
+            // coordinator finishes on its own thread — it ends when its
+            // one worker does — and streams the windows back into the
+            // worker session's `finish` output.
+            "distributed-worker",
+            Box::new(move |policy: &mut FixedFraction| {
+                use streamapprox::{connect_worker, ApproxSession, DistributedConfig};
+                let coordinator = StreamApprox::new(query(), policy)
+                    .distributed(
+                        DistributedConfig::new(1)
+                            .with_pane_interval_ms(500)
+                            .with_seed(sa_types::RunSeed::new(0xFEED))
+                            .with_expected_pane_items(first_pane_guess),
+                    )
+                    .expect("bind loopback");
+                let addr = coordinator.addr();
+                std::thread::spawn(move || coordinator.finish());
+                let worker = connect_worker(addr, 0, true, |v: &f64| *v).expect("join");
+                ApproxSession::from_engine(Box::new(worker))
+            }),
+        ),
     ];
     for (name, factory) in factories {
         for fraction in [0.3, 1.0] {
@@ -481,6 +503,10 @@ fn push_chunk_is_bit_identical_to_per_item_push() {
                 "{name} f={fraction}"
             );
             let chunked_out = chunked.finish();
+            assert!(
+                !per_item_out.windows.is_empty(),
+                "{name} f={fraction}: nothing to compare"
+            );
             assert_eq!(
                 chunked_out.windows, per_item_out.windows,
                 "{name} f={fraction}: chunked run diverged from per-item"

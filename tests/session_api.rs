@@ -316,6 +316,109 @@ fn far_future_item_is_bounded_work_on_every_engine() {
     assert_eq!(agg_out.items_ingested, 2_001);
 }
 
+/// The other edge of "untrusted timestamps": event times so close to the
+/// ends of `i64` that pane or window arithmetic on them would overflow.
+/// Such an item is refused with a typed error — it is not ingested, and
+/// the session keeps accepting in-range items — while a representable
+/// pair, however far apart, costs bounded work like any other gap. Never
+/// a panic, a wrapped subtraction or a pane-by-pane walk: on every
+/// push-driven engine, per item and chunked, in debug and release builds.
+#[test]
+fn extreme_timestamps_are_refused_or_bounded_on_every_engine() {
+    use std::time::{Duration, Instant};
+    use streamapprox::{ApproxSession, ShardedConfig};
+
+    fn aggregated(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
+        StreamApprox::new(query(), policy).start()
+    }
+    fn batched(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
+        StreamApprox::new(query(), policy)
+            .batched(batched_config())
+            .start()
+    }
+    fn sharded(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
+        StreamApprox::new(query(), policy)
+            .sharded(ShardedConfig::new(2))
+            .start()
+    }
+    type Start = fn(&mut FixedFraction) -> ApproxSession<'_, f64>;
+    let engines: [(&str, Start); 3] = [
+        ("aggregated", aggregated),
+        ("batched", batched),
+        ("sharded", sharded),
+    ];
+    // (first, second, which of the two a per-item push must accept).
+    let pairs = [
+        (
+            -5_000_000_000_000_000_000,
+            5_000_000_000_000_000_000,
+            [true, true],
+        ),
+        (0, i64::MAX, [true, false]),
+        (i64::MIN, i64::MIN + 10, [false, false]),
+    ];
+    let at = |ms: i64| StreamItem::new(StratumId(0), EventTime::from_millis(ms), 1.0);
+
+    for (name, start) in engines {
+        for (first, second, in_range) in pairs {
+            for chunked in [false, true] {
+                let case = format!("{name} ({first}, {second}) chunked={chunked}");
+                let began = Instant::now();
+                let mut policy = FixedFraction(0.5);
+                let mut session = start(&mut policy);
+                let accepted = if chunked {
+                    // A chunk holding an unrepresentable time is refused
+                    // whole, before any of it is ingested.
+                    match session.push_batch([at(first), at(second)]) {
+                        Ok(delta) => {
+                            assert_eq!(in_range, [true, true], "{case}");
+                            delta.ingested
+                        }
+                        Err(err) => {
+                            assert_ne!(in_range, [true, true], "{case}");
+                            assert!(matches!(err, SaError::InvalidConfig(_)), "{case}: {err}");
+                            0
+                        }
+                    }
+                } else {
+                    let mut accepted = 0;
+                    for (ms, ok) in [(first, in_range[0]), (second, in_range[1])] {
+                        match session.push(at(ms)) {
+                            Ok(()) => {
+                                assert!(ok, "{case}: {ms} must be refused");
+                                accepted += 1;
+                            }
+                            Err(err) => {
+                                assert!(!ok, "{case}: {ms} must be accepted, got {err}");
+                                assert!(matches!(err, SaError::InvalidConfig(_)), "{case}: {err}");
+                            }
+                        }
+                    }
+                    accepted
+                };
+                // A refusal leaves the session usable.
+                assert_eq!(session.status().ingest.ingested, accepted, "{case}");
+                let later = session.watermark().map_or(10, |w| w.as_millis() + 10);
+                session
+                    .push(at(later))
+                    .unwrap_or_else(|err| panic!("{case}: in-range {later} refused: {err}"));
+                let out = session.finish();
+                assert_eq!(out.items_ingested, accepted + 1, "{case}");
+                assert!(
+                    out.windows.len() < 20,
+                    "{case}: {} windows",
+                    out.windows.len()
+                );
+                assert!(
+                    began.elapsed() < Duration::from_secs(1),
+                    "{case}: took {:?}",
+                    began.elapsed()
+                );
+            }
+        }
+    }
+}
+
 /// Ordering is enforced uniformly at the session layer, for every engine.
 /// `push_batch` drops late items and continues — one straggler no longer
 /// aborts the rest of the batch — with the same accounting as
