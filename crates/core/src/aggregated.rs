@@ -41,7 +41,12 @@ pub struct AggregatedConfig {
     /// Seed for every sampling decision.
     pub seed: RunSeed,
     /// Sampling-interval length in event-time milliseconds; `None` uses
-    /// the query's window slide, the paper's interval choice (§5.5).
+    /// the longest interval that tiles the window — the greatest common
+    /// divisor of its size and slide, which is the slide, the paper's
+    /// interval choice (§5.5), whenever the slide divides the size. An
+    /// explicit interval must divide that one: panes that straddle a
+    /// window bound would be counted whole on one side of it, so the
+    /// first push refuses the session with `SaError::InvalidConfig`.
     pub pane_interval_ms: Option<i64>,
 }
 
@@ -117,11 +122,8 @@ impl<'p, R> AggregatedEngine<'p, R> {
         policy: impl Into<PolicyHandle<'p>>,
         codec: Option<RecordCodec<R>>,
     ) -> Self {
-        let pane_ms = config
-            .pane_interval_ms
-            .unwrap_or_else(|| query.window().slide_millis());
         AggregatedEngine {
-            driver: PaneDriver::new(pane_ms, query.window()),
+            driver: PaneDriver::new(config.pane_interval_ms, query.window()),
             sink: AggregatedSink {
                 runtime: ApproxRuntime::new(&query, policy, config.seed, 1),
                 proj: query.projection(),

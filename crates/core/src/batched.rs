@@ -76,7 +76,10 @@ pub struct BatchedConfig {
     /// Which batched system runs the panes (StreamApprox by default).
     pub system: BatchedSystem,
     /// Micro-batch interval in milliseconds (the paper sweeps 250–1000 ms,
-    /// Figure 4c).
+    /// Figure 4c). It must divide both the window size and the slide —
+    /// a batch that straddles a window bound would be counted whole on one
+    /// side of it — or the first push refuses the session with
+    /// `SaError::InvalidConfig`.
     pub batch_interval_ms: i64,
     /// Dataset partitions per batch.
     pub num_partitions: usize,
@@ -208,7 +211,7 @@ where
     ) -> Self {
         let runtime = ApproxRuntime::new(&query, policy, config.seed, config.sample_workers.max(1));
         BatchedEngine {
-            driver: PaneDriver::new(config.batch_interval_ms, query.window()),
+            driver: PaneDriver::new(Some(config.batch_interval_ms), query.window()),
             sink: BatchedSink {
                 config,
                 query,

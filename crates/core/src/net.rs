@@ -100,8 +100,8 @@ use crate::cost::SizingDirective;
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::runtime::{
-    pane_merge_seed, sampler_sizing, IntervalWorker, PaneDriver, PaneSink, ShardSet,
-    WindowFinalizer, WorkerPane,
+    pane_merge_seed, sampler_sizing, untiled_interval, window_tile_ms, IntervalWorker, PaneDriver,
+    PaneSink, ShardSet, WindowFinalizer, WorkerPane,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -137,8 +137,11 @@ pub struct DistributedConfig {
     /// (loopback, OS-assigned port — read it back with
     /// [`DistributedSession::addr`]).
     pub bind_addr: String,
-    /// Pane length in milliseconds; `None` uses the window slide, which
-    /// is the minimum pane count (fewer digests per window).
+    /// Pane length in milliseconds; `None` uses the longest interval that
+    /// tiles the window — the greatest common divisor of its size and
+    /// slide, usually the slide — which is the minimum pane count (fewer
+    /// digests per window). An explicit interval must divide that one, or
+    /// the session is refused at start with `SaError::InvalidConfig`.
     pub pane_interval_ms: Option<i64>,
     /// Seed of the run: workers derive their shard-local sampler seeds
     /// from it, and every pane merge draws from an RNG derived from it.
@@ -725,11 +728,15 @@ impl DistributedSession {
                     .to_string(),
             ));
         }
-        let interval_ms = config.pane_interval_ms.unwrap_or(window.slide_millis());
+        let tile_ms = window_tile_ms(window);
+        let interval_ms = config.pane_interval_ms.unwrap_or(tile_ms);
         if interval_ms <= 0 {
             return Err(SaError::InvalidConfig(format!(
                 "non-positive pane interval {interval_ms}"
             )));
+        }
+        if tile_ms % interval_ms != 0 {
+            return Err(untiled_interval(interval_ms));
         }
         let listener = TcpListener::bind(&config.bind_addr).map_err(|e| {
             SaError::InvalidConfig(format!("cannot bind {}: {e}", config.bind_addr))
@@ -1561,7 +1568,7 @@ fn assemble_engine<R>(
         None
     };
     Ok(DigestEngine {
-        driver: PaneDriver::new(assignment.pane_interval_ms, assignment.window),
+        driver: PaneDriver::new(Some(assignment.pane_interval_ms), assignment.window),
         sink: DigestSink {
             shared,
             worker: assignment.worker,

@@ -20,7 +20,7 @@ use crate::cost::CostPolicy;
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
-use crate::runtime::{sampler_sizing, IntervalWorker, WindowFinalizer};
+use crate::runtime::{sampler_sizing, window_tile_ms, IntervalWorker, WindowFinalizer};
 use crate::session::StreamApprox;
 use sa_estimate::StratumStats;
 use sa_pipelined::{Exchange, Flow, FlowHandle, Operator, PushSource};
@@ -137,7 +137,9 @@ enum RunnerOut {
 /// The pane-sampling / pane-stats operator (one instance per worker): an
 /// [`IntervalWorker`] plus the engine-specific pane-boundary detection.
 ///
-/// Panes are slide-interval-sized. A pane closes when either an item of a
+/// Panes are slide-interval-sized (or, when the slide does not divide the
+/// window size, as long as their greatest common divisor, so that panes
+/// still tile the window). A pane closes when either an item of a
 /// later pane arrives (items are in order within an instance) or the
 /// watermark passes its end — the watermark path runs *before* the runtime
 /// forwards the watermark downstream, so pane results always precede the
@@ -285,7 +287,7 @@ where
     R: Send + Sync + 'static,
 {
     // Estimate pane volume for the fraction policy's first interval.
-    let pane_ms = query.window().slide_millis();
+    let pane_ms = window_tile_ms(query.window());
     let first_pane_guess = items
         .iter()
         .take_while(|i| i.time.as_millis() < pane_ms)
@@ -329,7 +331,7 @@ where
         policy: &mut dyn CostPolicy,
     ) -> Self {
         let started = Instant::now();
-        let pane_ms = query.window().slide_millis();
+        let pane_ms = window_tile_ms(query.window());
         let w = config.sample_workers.max(1);
         let proj = query.projection();
         let seed = config.seed;

@@ -27,8 +27,9 @@
 //!   (sharded), digest-and-send (distributed worker) — so there is one
 //!   pane-cutting loop in the system, not one per engine.
 //! * [`WindowFinalizer`] — pane-to-window assembly and estimation:
-//!   [`PaneWindower`] state plus [`combine_window`] finalization. Engines
-//!   with a dedicated window stage embed one there.
+//!   [`PaneWindower`] state plus the `combine.rs` merge of the panes it
+//!   lends each completed window. Engines with a dedicated window stage
+//!   embed one there.
 //! * [`ApproxRuntime`] — the full per-interval loop for engines driven
 //!   from a single control thread: cost-policy consultation and feedback,
 //!   sampler-pool lifecycle, interval ingestion, window finalization and
@@ -44,7 +45,7 @@ use crate::checkpoint::{
     decode_directive, decode_pane_payload, decode_window_result, encode_directive,
     encode_pane_payload, encode_window_result, RecordCodec,
 };
-use crate::combine::{combine_window, PanePayload};
+use crate::combine::{combine_panes, PanePayload};
 use crate::cost::{CostPolicy, IntervalFeedback, PolicyHandle, SizingDirective};
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
@@ -546,6 +547,25 @@ impl<R> ShardSet<R> {
     }
 }
 
+/// The longest pane interval that tiles `spec`'s windows: the greatest
+/// common divisor of size and slide, so every pane lies wholly inside or
+/// wholly outside every window.
+pub(crate) fn window_tile_ms(spec: WindowSpec) -> i64 {
+    let (mut a, mut b) = (spec.size_millis(), spec.slide_millis());
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// The refusal of a pane interval that does not divide [`window_tile_ms`].
+pub(crate) fn untiled_interval(interval_ms: i64) -> SaError {
+    SaError::InvalidConfig(format!(
+        "a {interval_ms} ms pane interval does not divide both the window size and the slide, \
+         so panes would straddle window bounds"
+    ))
+}
+
 /// What a substrate does with the panes the [`PaneDriver`] cuts: take the
 /// open pane's items, and close it. Where panes begin and end is the
 /// driver's business alone.
@@ -575,6 +595,13 @@ pub(crate) trait PaneSink<R> {
 ///
 /// * **Alignment** — panes are `[k·interval, (k+1)·interval)`: the first
 ///   item opens the pane of the interval grid that contains it.
+/// * **Panes tile windows** — window assembly assigns a pane to the windows
+///   containing its start, which is the whole pane only when the interval
+///   divides both the window size and the slide. The default interval is
+///   their greatest common divisor ([`window_tile_ms`]; the slide itself
+///   whenever the slide divides the size); an explicit interval that does
+///   not divide it is refused, with the first item, before anything is
+///   opened.
 /// * **Quiet intervals are empty panes** — when an item lies past the open
 ///   pane's end, that pane and every interval between the two are closed
 ///   in order (each a `close_pane` with nothing fed), so window assembly
@@ -594,17 +621,23 @@ pub(crate) trait PaneSink<R> {
 ///   one; trailing quiet intervals produce no pane.
 pub(crate) struct PaneDriver {
     interval_ms: i64,
+    /// Whether `interval_ms` tiles the window (see the invariants).
+    tiles: bool,
     skip_horizon_ms: i64,
     /// The open pane, once the first item has arrived.
     open: Option<Window>,
 }
 
 impl PaneDriver {
-    /// A driver cutting panes of `interval_ms` for windows of `spec`.
-    pub(crate) fn new(interval_ms: i64, spec: WindowSpec) -> Self {
+    /// A driver cutting panes for windows of `spec`: of `interval_ms` when
+    /// given, else of the longest interval that tiles the window.
+    pub(crate) fn new(interval_ms: Option<i64>, spec: WindowSpec) -> Self {
+        let tile_ms = window_tile_ms(spec);
+        let interval_ms = interval_ms.unwrap_or(tile_ms);
         assert!(interval_ms > 0, "pane interval must be positive");
         PaneDriver {
             interval_ms,
+            tiles: tile_ms % interval_ms == 0,
             skip_horizon_ms: 2 * (spec.size_millis() + spec.slide_millis()),
             open: None,
         }
@@ -688,6 +721,9 @@ impl PaneDriver {
     /// own bounds, the watermark it becomes, and every window end derived
     /// from that watermark representable.
     fn pane_of(&self, time: EventTime) -> Result<Window, SaError> {
+        if !self.tiles {
+            return Err(untiled_interval(self.interval_ms));
+        }
         let t = time.as_millis();
         let margin = self.interval_ms.saturating_add(self.skip_horizon_ms);
         if t < i64::MIN.saturating_add(margin) || t > i64::MAX.saturating_sub(margin) {
@@ -740,8 +776,8 @@ impl PaneDriver {
 }
 
 /// Pane-to-window assembly and finalization: owns the [`PaneWindower`]
-/// state and turns completed windows into [`WindowResult`]s via
-/// [`combine_window`]. The engine-facing surface mirrors
+/// state and turns completed windows into [`WindowResult`]s by merging the
+/// panes the windower lends them (`combine.rs`). The engine-facing surface mirrors
 /// [`ApproxRuntime`]: `ingest_interval`, `close_interval`,
 /// `drain_windows`.
 pub struct WindowFinalizer {
@@ -779,21 +815,25 @@ impl WindowFinalizer {
         self.confidence
     }
 
-    /// Registers one pane's payload.
-    pub fn ingest_interval(&mut self, pane: Window, payload: PanePayload) {
+    /// Registers one pane's payload. This is where the window merge's
+    /// invariant is established: the payload is put in ascending-stratum
+    /// order (a check for sampler output, which already is) once, here,
+    /// rather than sorted again by every window that covers the pane.
+    pub fn ingest_interval(&mut self, pane: Window, mut payload: PanePayload) {
+        payload.sort_by_stratum();
         self.windower.add_pane(pane, payload);
     }
 
     /// Advances the watermark, finalizing every window it completes.
     pub fn close_interval(&mut self, watermark: EventTime) {
-        let done = self.windower.advance(watermark);
-        self.finalize(done);
+        let (windower, finalize) = self.lend();
+        windower.advance(watermark, finalize);
     }
 
     /// Flushes every remaining window at end of stream.
     pub fn finish(&mut self) {
-        let done = self.windower.finish();
-        self.finalize(done);
+        let (windower, finalize) = self.lend();
+        windower.finish(finalize);
     }
 
     /// Takes the windows finalized since the last drain.
@@ -801,19 +841,34 @@ impl WindowFinalizer {
         std::mem::take(&mut self.completed)
     }
 
-    fn finalize(&mut self, done: Vec<(Window, Vec<PanePayload>)>) {
-        for (window, panes) in done {
-            let mut result = combine_window(window, panes, self.confidence);
+    /// The windower, and what it calls with each completed window and the
+    /// panes it lends it: merge and estimate, then stamp the result with
+    /// the degraded-merge ledger's entries for the panes it covers.
+    fn lend(
+        &mut self,
+    ) -> (
+        &mut PaneWindower<PanePayload>,
+        impl FnMut(Window, &[&PanePayload]) + '_,
+    ) {
+        let WindowFinalizer {
+            windower,
+            confidence,
+            completed,
+            degraded_panes,
+        } = self;
+        let finalize = move |window: Window, panes: &[&PanePayload]| {
+            let mut result = combine_panes(window, panes, *confidence);
             let (start, end) = (window.start.as_millis(), window.end.as_millis());
-            for (_, &lost) in self.degraded_panes.range(start..end) {
+            for (_, &lost) in degraded_panes.range(start..end) {
                 result.degraded = true;
                 result.lost_items += lost;
             }
             // Windows finalize in ascending start order, so ledger entries
             // before this window's start can never be covered again.
-            self.degraded_panes = self.degraded_panes.split_off(&start);
-            self.completed.push(result);
-        }
+            *degraded_panes = degraded_panes.split_off(&start);
+            completed.push(result);
+        };
+        (windower, finalize)
     }
 
     /// Serializes the windower's open panes, watermark and any undrained
@@ -852,7 +907,11 @@ impl WindowFinalizer {
             let count = r.read_len()?;
             let mut payloads = Vec::with_capacity(count);
             for _ in 0..count {
-                payloads.push(decode_pane_payload(r)?);
+                // Stored in stratum order; a snapshot that is not is put
+                // back in it rather than trusted.
+                let mut payload = decode_pane_payload(r)?;
+                payload.sort_by_stratum();
+                payloads.push(payload);
             }
             if panes.insert(start, payloads).is_some() {
                 return Err(SaError::Wire(format!(
@@ -1504,7 +1563,7 @@ mod tests {
     /// when `chunk_lens` is empty, else in chunks of those lengths
     /// (cycled).
     fn cut(times: &[i64], interval: i64, chunk_lens: &[usize]) -> Vec<(Window, Vec<i64>)> {
-        let mut driver = PaneDriver::new(interval, WindowSpec::tumbling_millis(SPEC_MS));
+        let mut driver = PaneDriver::new(Some(interval), WindowSpec::tumbling_millis(SPEC_MS));
         let mut sink = Recorder::default();
         let mut rest: Vec<_> = times.iter().map(|&ms| at(ms)).collect();
         if chunk_lens.is_empty() {
@@ -1529,7 +1588,7 @@ mod tests {
     #[test]
     fn empty_input_yields_no_pane() {
         assert!(cut(&[], 100, &[]).is_empty());
-        let mut driver = PaneDriver::new(100, WindowSpec::tumbling_millis(SPEC_MS));
+        let mut driver = PaneDriver::new(Some(100), WindowSpec::tumbling_millis(SPEC_MS));
         let mut sink = Recorder::default();
         driver.push_chunk(Vec::new(), &mut sink).expect("no-op");
         driver.finish(&mut sink).expect("no-op");
@@ -1557,7 +1616,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "pane interval must be positive")]
     fn zero_interval_rejected() {
-        let _ = PaneDriver::new(0, WindowSpec::tumbling_millis(SPEC_MS));
+        let _ = PaneDriver::new(Some(0), WindowSpec::tumbling_millis(SPEC_MS));
     }
 
     #[test]
@@ -1580,7 +1639,7 @@ mod tests {
 
     #[test]
     fn unrepresentable_times_are_refused_and_change_nothing() {
-        let mut driver = PaneDriver::new(1_000, WindowSpec::tumbling_millis(SPEC_MS));
+        let mut driver = PaneDriver::new(Some(1_000), WindowSpec::tumbling_millis(SPEC_MS));
         let mut sink = Recorder::default();
         for ms in [i64::MIN, i64::MIN + 10, i64::MAX] {
             let err = driver.push(at(ms), &mut sink).unwrap_err();
@@ -1603,8 +1662,38 @@ mod tests {
     }
 
     #[test]
+    fn the_default_interval_tiles_the_window_and_others_must_divide_it() {
+        assert_eq!(
+            window_tile_ms(WindowSpec::sliding_millis(2_000, 1_000)),
+            1_000
+        );
+        assert_eq!(
+            window_tile_ms(WindowSpec::sliding_millis(2_500, 1_000)),
+            500
+        );
+        assert_eq!(window_tile_ms(WindowSpec::tumbling_millis(700)), 700);
+        let spec = WindowSpec::sliding_millis(2_500, 1_000);
+        let mut sink = Recorder::default();
+        let mut default = PaneDriver::new(None, spec);
+        default.push(at(1_700), &mut sink).expect("tiles");
+        assert_eq!(default.start(), Some(1_500));
+        PaneDriver::new(Some(250), spec)
+            .push(at(0), &mut sink)
+            .expect("250 divides 500");
+        // 1 000 divides the slide but not the size: refused, per item and
+        // per chunk, with nothing opened.
+        let mut untiled = PaneDriver::new(Some(1_000), spec);
+        for _ in 0..2 {
+            let err = untiled.push(at(0), &mut sink).unwrap_err();
+            assert!(matches!(err, SaError::InvalidConfig(_)), "{err}");
+            assert!(untiled.push_chunk(vec![at(0)], &mut sink).is_err());
+            assert_eq!(untiled.start(), None);
+        }
+    }
+
+    #[test]
     fn restore_accepts_only_panes_of_its_own_grid() {
-        let mut driver = PaneDriver::new(500, WindowSpec::tumbling_millis(SPEC_MS));
+        let mut driver = PaneDriver::new(Some(500), WindowSpec::tumbling_millis(SPEC_MS));
         driver.restore_start(Some(1_500)).expect("on the grid");
         assert_eq!(driver.start(), Some(1_500));
         let mut sink = Recorder::default();
@@ -1628,10 +1717,13 @@ mod tests {
         #[test]
         fn panes_tile_the_stream_and_chunking_is_invisible(
             gaps in proptest::collection::vec((0i64..600, 0u8..16), 1..300),
-            interval in 1i64..1_000,
+            divisor in 0usize..16,
             chunk_lens in proptest::collection::vec(1usize..40, 1..8),
         ) {
             use proptest::prelude::*;
+            // Any interval that tiles the 1 s window.
+            let interval =
+                [1, 2, 4, 5, 8, 10, 20, 25, 40, 50, 100, 125, 200, 250, 500, 1_000][divisor];
             // Cumulative gaps, one in sixteen stretched past the horizon.
             let mut t = -3_000i64;
             let times: Vec<i64> = gaps

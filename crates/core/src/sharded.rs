@@ -84,7 +84,12 @@ pub struct ShardedConfig {
     /// Number of worker shards (threads).
     pub shards: usize,
     /// Sampling-interval length in event-time milliseconds; `None` uses
-    /// the query's window slide, the paper's interval choice (§5.5).
+    /// the longest interval that tiles the window — the greatest common
+    /// divisor of its size and slide, which is the slide, the paper's
+    /// interval choice (§5.5), whenever the slide divides the size. An
+    /// explicit interval must divide that one: panes that straddle a
+    /// window bound would be counted whole on one side of it, so the
+    /// first push refuses the session with `SaError::InvalidConfig`.
     pub pane_interval_ms: Option<i64>,
     /// Items buffered per shard before a chunk is shipped to its thread;
     /// larger chunks amortize ring traffic, smaller ones reduce the
@@ -328,10 +333,7 @@ where
         policy: impl Into<PolicyHandle<'p>>,
         codec: Option<RecordCodec<R>>,
     ) -> Self {
-        let pane_ms = config
-            .pane_interval_ms
-            .unwrap_or_else(|| query.window().slide_millis());
-        let driver = PaneDriver::new(pane_ms, query.window());
+        let driver = PaneDriver::new(config.pane_interval_ms, query.window());
         let runtime = ApproxRuntime::new(&query, policy, config.seed, config.shards);
         let shard_set = ShardSet::new(config.shards, config.seed, query.projection());
         let mut to_shards = Vec::with_capacity(config.shards);

@@ -13,6 +13,21 @@ fn pane(start: i64, len: i64) -> Window {
     )
 }
 
+/// Advances to `wm` and copies out what each completed window was lent.
+fn advance(windower: &mut PaneWindower<usize>, wm: EventTime) -> Vec<(Window, Vec<usize>)> {
+    let mut done = Vec::new();
+    windower.advance(wm, |w, panes| {
+        done.push((w, panes.iter().map(|p| **p).collect()))
+    });
+    done
+}
+
+fn finish(windower: &mut PaneWindower<usize>) -> Vec<(Window, Vec<usize>)> {
+    let mut done = Vec::new();
+    windower.finish(|w, panes| done.push((w, panes.iter().map(|p| **p).collect())));
+    done
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -44,14 +59,14 @@ proptest! {
                 windower.add_pane(pane(next_pane as i64 * pane_ms, pane_ms), next_pane);
                 next_pane += 1;
             }
-            emitted.extend(windower.advance(EventTime::from_millis(wm)));
+            emitted.extend(advance(&mut windower, EventTime::from_millis(wm)));
         }
         // Add any stragglers and flush.
         while next_pane < pane_count {
             windower.add_pane(pane(next_pane as i64 * pane_ms, pane_ms), next_pane);
             next_pane += 1;
         }
-        emitted.extend(windower.finish());
+        emitted.extend(finish(&mut windower));
 
         // Windows unique and ordered by end.
         for pair in emitted.windows(2) {
@@ -95,19 +110,18 @@ proptest! {
             windower.add_pane(pane(p as i64 * 500, 500), p);
         }
         let wm = EventTime::from_millis(panes as i64 * 500);
-        let first = windower.advance(wm);
+        let first = advance(&mut windower, wm);
         for _ in 0..replays {
-            prop_assert!(windower.advance(wm).is_empty());
-            prop_assert!(windower
-                .advance(EventTime::from_millis(wm.as_millis() - 250))
-                .is_empty());
+            prop_assert!(advance(&mut windower, wm).is_empty());
+            let earlier = EventTime::from_millis(wm.as_millis() - 250);
+            prop_assert!(advance(&mut windower, earlier).is_empty());
         }
         // finish drains the remaining tail exactly once.
-        let tail = windower.finish();
+        let tail = finish(&mut windower);
         let all: Vec<Window> = first.iter().chain(&tail).map(|(w, _)| *w).collect();
         let mut dedup = all.clone();
         dedup.dedup();
         prop_assert_eq!(all, dedup);
-        prop_assert!(windower.finish().is_empty());
+        prop_assert!(finish(&mut windower).is_empty());
     }
 }

@@ -5,10 +5,11 @@
 
 use sa_batched::Cluster;
 use sa_estimate::accuracy_loss;
-use sa_types::WindowSpec;
-use sa_workloads::Mix;
+use sa_types::{StratumId, WindowSpec};
+use sa_workloads::{Distribution, Mix, SubStream};
 use streamapprox::{
-    run_batched, run_pipelined, BatchedConfig, BatchedSystem, FixedFraction, PipelinedConfig,
+    connect_worker, run_batched, run_pipelined, AggregatedConfig, ApproxSession, BatchedConfig,
+    BatchedSystem, CostPolicy, DistributedConfig, FixedFraction, FixedPerStratum, PipelinedConfig,
     PipelinedSystem, Query, RunOutput, ShardedConfig, StreamApprox,
 };
 
@@ -553,6 +554,108 @@ fn sharded_n1_matches_batched_bit_for_bit() {
         );
         assert_eq!(sharded.items_ingested, batched.items_ingested);
         assert_eq!(sharded.items_aggregated, batched.items_aggregated);
+    }
+}
+
+/// The wide-stream row of the determinism oracle: 512 strata at Zipf(1)
+/// rates under a 1 s / 100 ms window, so every window merges ten panes of
+/// a few hundred strata each, most of them present in only some panes —
+/// the shape the pane merge in `combine.rs` is built for, where the rows
+/// above exercise three strata. One sampler fed the whole stream is the
+/// same computation on every engine, so all four must agree to the bit:
+/// under a per-stratum budget outright, under a fraction budget once they
+/// share the first-pane capacity hint (the batched engine derives its own
+/// from the first pane and has no knob for it, so it sits that one out).
+#[test]
+fn wide_stream_windows_are_bit_identical_across_engines() {
+    const STRATA: u32 = 512;
+    const SEED: u64 = 0xFEED;
+    let harmonic: f64 = (1..=STRATA).map(|rank| 1.0 / f64::from(rank)).sum();
+    let stream = Mix::new(
+        (0..STRATA)
+            .map(|k| {
+                SubStream::new(
+                    StratumId(k),
+                    12_000.0 / (f64::from(k + 1) * harmonic),
+                    Distribution::Gaussian {
+                        mean: 10.0 + f64::from(k),
+                        std_dev: 2.0,
+                    },
+                )
+            })
+            .collect(),
+    )
+    .generate(3_000, 77);
+    let query = || Query::new(|v: &f64| *v).with_window(WindowSpec::sliding_millis(1_000, 100));
+
+    type Policy = fn() -> Box<dyn CostPolicy>;
+    let budgets: [(&str, Policy, bool); 2] = [
+        ("per-stratum", || Box::new(FixedPerStratum(6)), true),
+        ("fraction", || Box::new(FixedFraction(0.2)), false),
+    ];
+    for (budget, policy, batched_shares_the_hint) in budgets {
+        let local = |session: StreamApprox<'_, f64>| {
+            let mut session = session.start();
+            session
+                .push_batch(stream.iter().copied())
+                .expect("in order");
+            session.finish()
+        };
+        let aggregated = local(
+            StreamApprox::new(query(), policy())
+                .aggregated(AggregatedConfig::new().with_seed(SEED)),
+        );
+        assert_eq!(aggregated.windows.len(), 30, "{budget}");
+        let strata_answered = aggregated.windows[15].sum_by_stratum.len();
+        assert!(strata_answered > 400, "{budget}: {strata_answered} strata");
+
+        let sharded = local(
+            StreamApprox::new(query(), policy()).sharded(
+                ShardedConfig::new(1)
+                    .with_seed(SEED)
+                    .with_expected_pane_items(0),
+            ),
+        );
+        assert_eq!(sharded.windows, aggregated.windows, "{budget}: sharded N=1");
+        assert_eq!(sharded.items_aggregated, aggregated.items_aggregated);
+
+        if batched_shares_the_hint {
+            let batched = local(
+                StreamApprox::new(query(), policy()).batched(
+                    BatchedConfig {
+                        num_partitions: 1,
+                        sample_workers: 1,
+                        ..BatchedConfig::new(Cluster::new(1))
+                    }
+                    .with_batch_interval_ms(100)
+                    .with_seed(SEED),
+                ),
+            );
+            assert_eq!(batched.windows, aggregated.windows, "{budget}: batched");
+        }
+
+        let coordinator = StreamApprox::new(query(), policy())
+            .distributed(
+                DistributedConfig::new(1)
+                    .with_seed(SEED.into())
+                    .with_expected_pane_items(0)
+                    .with_timeout(std::time::Duration::from_secs(20)),
+            )
+            .expect("bind loopback");
+        let addr = coordinator.addr();
+        let items = stream.clone();
+        let worker = std::thread::spawn(move || {
+            let engine = connect_worker(addr, 0, false, |v: &f64| *v).expect("worker joins");
+            let mut session = ApproxSession::from_engine(Box::new(engine));
+            session.push_batch(items).expect("in order");
+            session.finish()
+        });
+        let distributed = coordinator.finish().expect("clean distributed run");
+        worker.join().expect("worker thread");
+        assert_eq!(
+            distributed.windows, aggregated.windows,
+            "{budget}: distributed K=1"
+        );
     }
 }
 

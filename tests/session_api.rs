@@ -8,8 +8,8 @@ use sa_batched::Cluster;
 use sa_types::{EventTime, SaError, SessionStatus, StratumId, StreamItem, WindowSpec};
 use sa_workloads::Mix;
 use streamapprox::{
-    run_batched, AggregatedConfig, BatchedConfig, BatchedSystem, FixedFraction, PipelinedConfig,
-    PipelinedSystem, Query, StreamApprox,
+    run_batched, AggregatedConfig, ApproxSession, BatchedConfig, BatchedSystem, DistributedConfig,
+    FixedFraction, PipelinedConfig, PipelinedSystem, Query, ShardedConfig, StreamApprox,
 };
 
 fn items(seed: u64) -> Vec<StreamItem<f64>> {
@@ -22,6 +22,31 @@ fn query() -> Query<f64> {
 
 fn batched_config() -> BatchedConfig {
     BatchedConfig::new(Cluster::new(2)).with_batch_interval_ms(500)
+}
+
+type Start = fn(&mut FixedFraction) -> ApproxSession<'_, f64>;
+
+/// A fresh session over `query()` on each engine that cuts panes with the
+/// shared pane driver.
+fn push_driven_engines() -> [(&'static str, Start); 3] {
+    fn aggregated(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
+        StreamApprox::new(query(), policy).start()
+    }
+    fn batched(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
+        StreamApprox::new(query(), policy)
+            .batched(batched_config())
+            .start()
+    }
+    fn sharded(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
+        StreamApprox::new(query(), policy)
+            .sharded(ShardedConfig::new(2))
+            .start()
+    }
+    [
+        ("aggregated", aggregated),
+        ("batched", batched),
+        ("sharded", sharded),
+    ]
 }
 
 /// The headline property: a window result is observable through
@@ -326,27 +351,8 @@ fn far_future_item_is_bounded_work_on_every_engine() {
 #[test]
 fn extreme_timestamps_are_refused_or_bounded_on_every_engine() {
     use std::time::{Duration, Instant};
-    use streamapprox::{ApproxSession, ShardedConfig};
 
-    fn aggregated(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
-        StreamApprox::new(query(), policy).start()
-    }
-    fn batched(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
-        StreamApprox::new(query(), policy)
-            .batched(batched_config())
-            .start()
-    }
-    fn sharded(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
-        StreamApprox::new(query(), policy)
-            .sharded(ShardedConfig::new(2))
-            .start()
-    }
-    type Start = fn(&mut FixedFraction) -> ApproxSession<'_, f64>;
-    let engines: [(&str, Start); 3] = [
-        ("aggregated", aggregated),
-        ("batched", batched),
-        ("sharded", sharded),
-    ];
+    let engines = push_driven_engines();
     // (first, second, which of the two a per-item push must accept).
     let pairs = [
         (
@@ -417,6 +423,188 @@ fn extreme_timestamps_are_refused_or_bounded_on_every_engine() {
             }
         }
     }
+}
+
+/// Event time has no privileged zero: a stream that lies before it, or
+/// straddles it, is the same stream shifted. The unshifted stream begins
+/// inside `[0, slide)`, so its first window is `[0, size)` and every
+/// window of a shifted run must be that run's window, moved — same count,
+/// same order, same estimates to the bit.
+#[test]
+fn a_stream_before_time_zero_is_the_same_stream_shifted() {
+    let engines = push_driven_engines();
+    let stream = Mix::gaussian([3_000.0, 800.0, 80.0]).generate(10_000, 33);
+    assert!(stream[0].time < EventTime::from_millis(1_000));
+    for (name, start) in engines {
+        let run = |shift_ms: i64, chunked: bool| {
+            let shifted = stream
+                .iter()
+                .map(|item| StreamItem::new(item.stratum, item.time + shift_ms, item.value));
+            let mut policy = FixedFraction(0.5);
+            let mut session = start(&mut policy);
+            if chunked {
+                session.push_batch(shifted).expect("in order");
+            } else {
+                for item in shifted {
+                    session.push(item).expect("in order");
+                }
+            }
+            let out = session.finish();
+            assert_eq!(out.items_ingested, stream.len() as u64, "{name} {shift_ms}");
+            out.windows
+        };
+        let reference = run(0, true);
+        assert_eq!(reference.len(), 10, "{name}");
+        assert_eq!(reference[0].window.start, EventTime::from_millis(0));
+        // Wholly before zero (ending at it), and straddling it.
+        for shift_ms in [-10_000, -5_000] {
+            for chunked in [true, false] {
+                let mut moved = reference.clone();
+                for w in &mut moved {
+                    w.window.start = w.window.start + shift_ms;
+                    w.window.end = w.window.end + shift_ms;
+                }
+                assert_eq!(
+                    run(shift_ms, chunked),
+                    moved,
+                    "{name} shifted {shift_ms} chunked={chunked}"
+                );
+            }
+        }
+    }
+}
+
+/// A pane is counted towards the windows containing its start, so a pane
+/// interval must tile the window: divide its size and its slide. One that
+/// does not is refused — from the first push on local sessions, at start
+/// on the distributed tier — instead of answering with whole panes on the
+/// wrong side of a window bound.
+#[test]
+fn a_pane_interval_that_does_not_tile_the_window_is_refused() {
+    let at = |ms: i64| StreamItem::new(StratumId(0), EventTime::from_millis(ms), 1.0);
+    let refused = |err: SaError, case: &str| {
+        assert!(matches!(err, SaError::InvalidConfig(_)), "{case}: {err}");
+        assert!(err.to_string().contains("700 ms"), "{case}: {err}");
+    };
+
+    let mut policy = FixedFraction(1.0);
+    let mut aggregated = StreamApprox::new(query(), &mut policy)
+        .aggregated(AggregatedConfig::new().with_pane_interval_ms(700))
+        .start();
+    refused(aggregated.push(at(0)).unwrap_err(), "aggregated push");
+    refused(
+        aggregated.push_batch([at(0), at(1)]).unwrap_err(),
+        "aggregated push_batch",
+    );
+    let out = aggregated.finish();
+    assert_eq!((out.items_ingested, out.windows.len()), (0, 0));
+
+    let mut policy = FixedFraction(1.0);
+    let mut sharded = StreamApprox::new(query(), &mut policy)
+        .sharded(ShardedConfig::new(2).with_pane_interval_ms(700))
+        .start();
+    refused(sharded.push(at(0)).unwrap_err(), "sharded push");
+    refused(
+        sharded.push_batch([at(0), at(1)]).unwrap_err(),
+        "sharded push_batch",
+    );
+    assert_eq!(sharded.finish().items_ingested, 0);
+
+    let mut policy = FixedFraction(1.0);
+    let mut batched = StreamApprox::new(query(), &mut policy)
+        .batched(BatchedConfig::new(Cluster::new(2)).with_batch_interval_ms(700))
+        .start();
+    refused(batched.push(at(0)).unwrap_err(), "batched push");
+    assert_eq!(batched.finish().items_ingested, 0);
+
+    let mut policy = FixedFraction(1.0);
+    let distributed = StreamApprox::new(query(), &mut policy)
+        .distributed(DistributedConfig::new(1).with_pane_interval_ms(700));
+    match distributed {
+        Err(err) => refused(err, "distributed start"),
+        Ok(_) => panic!("the distributed tier accepted a 700 ms pane under 2 s / 1 s"),
+    }
+
+    // Intervals that do tile it are accepted: 500 and 250 under 2 s / 1 s.
+    for ms in [500, 250] {
+        let mut policy = FixedFraction(1.0);
+        let mut session = StreamApprox::new(query(), &mut policy)
+            .aggregated(AggregatedConfig::new().with_pane_interval_ms(ms))
+            .start();
+        session.push(at(0)).expect("tiles the window");
+        assert_eq!(session.finish().items_ingested, 1);
+    }
+}
+
+/// A slide that does not divide the size: the default pane is their
+/// greatest common divisor, not the slide, so a window is made of whole
+/// panes and a fully sampled run counts every window exactly.
+#[test]
+fn a_window_whose_slide_does_not_divide_its_size_is_counted_exactly() {
+    let spec = WindowSpec::sliding_millis(2_500, 1_000);
+    let query = || Query::new(|v: &f64| *v).with_window(spec);
+    // One item a millisecond for ten seconds, each worth its own time.
+    let stream: Vec<StreamItem<f64>> = (0..10_000)
+        .map(|ms| {
+            StreamItem::new(
+                StratumId(ms as u32 % 3),
+                EventTime::from_millis(ms),
+                ms as f64,
+            )
+        })
+        .collect();
+    let check = |name: &str, windows: Vec<streamapprox::WindowResult>| {
+        assert_eq!(windows.len(), 10, "{name}");
+        for w in &windows {
+            let (start, end) = (w.window.start.as_millis(), w.window.end.as_millis());
+            assert_eq!(end - start, 2_500, "{name}");
+            let inside = start.max(0)..end.min(10_000);
+            let count = (inside.end - inside.start) as u64;
+            let sum: f64 = inside.map(|ms| ms as f64).sum();
+            assert_eq!(w.sum.population_size, count, "{name} {}", w.window);
+            assert_eq!(w.sum.sample_size, count, "{name} {}", w.window);
+            assert_eq!(w.sum.bound.margin(), 0.0, "{name} {}", w.window);
+            assert!(
+                (w.sum.value - sum).abs() <= 1e-6 * sum,
+                "{name} {}",
+                w.window
+            );
+        }
+    };
+
+    let mut policy = FixedFraction(1.0);
+    let mut aggregated = StreamApprox::new(query(), &mut policy).start();
+    aggregated
+        .push_batch(stream.iter().copied())
+        .expect("in order");
+    check("aggregated", aggregated.finish().windows);
+
+    let mut policy = FixedFraction(1.0);
+    let mut sharded = StreamApprox::new(query(), &mut policy)
+        .sharded(ShardedConfig::new(2))
+        .start();
+    sharded
+        .push_batch(stream.iter().copied())
+        .expect("in order");
+    check("sharded", sharded.finish().windows);
+
+    let mut policy = FixedFraction(1.0);
+    let mut batched = StreamApprox::new(query(), &mut policy)
+        .batched(batched_config())
+        .start();
+    batched
+        .push_batch(stream.iter().copied())
+        .expect("in order");
+    check("batched", batched.finish().windows);
+
+    let mut policy = FixedFraction(1.0);
+    let mut pipelined = StreamApprox::new(query(), &mut policy)
+        .pipelined(PipelinedConfig::new())
+        .start();
+    pipelined
+        .push_batch(stream.iter().copied())
+        .expect("in order");
+    check("pipelined", pipelined.finish().windows);
 }
 
 /// Ordering is enforced uniformly at the session layer, for every engine.
