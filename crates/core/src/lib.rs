@@ -143,7 +143,6 @@ mod query;
 mod runtime;
 mod session;
 mod sharded;
-mod stratify;
 mod windowing;
 
 pub use aggregated::AggregatedConfig;
@@ -168,5 +167,4 @@ pub use runtime::{
 };
 pub use session::{ApproxSession, StreamApprox};
 pub use sharded::ShardedConfig;
-pub use stratify::{restratify, QuantileStratifier};
 pub use windowing::PaneWindower;

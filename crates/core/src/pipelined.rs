@@ -10,10 +10,10 @@
 //! the paper.
 //!
 //! This module is a thin adapter: it expresses only the engine-specific
-//! parts (operator pipeline, exchanges, watermark alignment). The interval
-//! state lives in the shared [`crate::runtime::IntervalWorker`] (one per
-//! operator instance) and window assembly in the shared
-//! [`crate::runtime::WindowFinalizer`].
+//! parts (operator pipeline, round-robin exchange, watermark alignment).
+//! The interval state lives in the shared
+//! [`crate::runtime::IntervalWorker`] (one per operator instance) and
+//! window assembly in the shared [`crate::runtime::WindowFinalizer`].
 
 use crate::combine::PanePayload;
 use crate::cost::CostPolicy;
@@ -23,7 +23,7 @@ use crate::query::Query;
 use crate::runtime::{sampler_sizing, window_tile_ms, IntervalWorker, WindowFinalizer};
 use crate::session::StreamApprox;
 use sa_estimate::StratumStats;
-use sa_pipelined::{Exchange, Flow, FlowHandle, Operator, PushSource};
+use sa_pipelined::{Flow, FlowHandle, Operator, PushSource};
 use sa_types::{EventTime, RunSeed, SaError, StratumId, StreamItem, Window};
 use std::time::Instant;
 
@@ -46,6 +46,9 @@ impl std::fmt::Display for PipelinedSystem {
     }
 }
 
+/// How far event time advances between the source's watermarks (ms).
+const WATERMARK_INTERVAL_MS: i64 = 100;
+
 /// Configuration of the pipelined engine for one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelinedConfig {
@@ -56,8 +59,6 @@ pub struct PipelinedConfig {
     pub sample_workers: usize,
     /// Seed for sampling decisions.
     pub seed: RunSeed,
-    /// How often the source advances the watermark (event-time ms).
-    pub watermark_interval_ms: i64,
     /// Expected items in the first pane — the fraction policy's
     /// first-interval capacity hint (from the second pane on, OASRS adapts
     /// capacities from real arrival counters). [`run_pipelined`] derives
@@ -67,14 +68,12 @@ pub struct PipelinedConfig {
 }
 
 impl PipelinedConfig {
-    /// A default sized for small machines: 2 sampling workers, 100 ms
-    /// watermarks.
+    /// A default sized for small machines: 2 sampling workers.
     pub fn new() -> Self {
         PipelinedConfig {
             system: PipelinedSystem::StreamApprox,
             sample_workers: 2,
             seed: RunSeed::DEFAULT,
-            watermark_interval_ms: 100,
             expected_pane_items: 0,
         }
     }
@@ -343,9 +342,9 @@ where
             sampler_sizing(policy.interval_sizing(), config.expected_pane_items, w)
         };
 
-        let (source, flow) = Flow::source_push(config.watermark_interval_ms);
+        let (source, flow) = Flow::source_push(WATERMARK_INTERVAL_MS);
         let sink = flow
-            .then(w, Exchange::Rebalance, move |i| PaneStage {
+            .then(w, move |i| PaneStage {
                 worker: IntervalWorker::for_worker(
                     sizing,
                     seed,
@@ -356,7 +355,7 @@ where
                 pane_ms,
                 current_pane_start: None,
             })
-            .then(1, Exchange::Rebalance, move |_| WindowEstimator {
+            .then(1, move |_| WindowEstimator {
                 finalizer: WindowFinalizer::new(window_spec, confidence),
                 ingested: 0,
                 sampled: 0,

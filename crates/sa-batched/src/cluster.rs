@@ -103,16 +103,6 @@ impl Cluster {
         }
     }
 
-    /// Number of nodes in the simulated topology.
-    pub fn num_nodes(&self) -> usize {
-        self.inner.nodes
-    }
-
-    /// Workers per node.
-    pub fn cores_per_node(&self) -> usize {
-        self.inner.cores_per_node
-    }
-
     /// Total worker count (`nodes × cores_per_node`).
     pub fn num_workers(&self) -> usize {
         self.inner.nodes * self.inner.cores_per_node
@@ -177,18 +167,6 @@ impl Cluster {
                     .unwrap_or_else(|| panic!("stage task {i} panicked"))
             })
             .collect()
-    }
-}
-
-impl Default for Cluster {
-    /// A cluster sized to the host: one node, one worker per available
-    /// core (at least 2).
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .max(2);
-        Cluster::new(cores)
     }
 }
 

@@ -5,11 +5,11 @@
 //!
 //! * [`Cluster`] — a persistent worker pool with a `nodes × cores`
 //!   topology; every stage is a real synchronization barrier.
-//! * [`Pds`] — a partitioned dataset (RDD analogue) with narrow
-//!   transformations, hash-shuffle wide transformations, and the sampling
-//!   operators the paper benchmarks: Bernoulli `sample_fraction`,
-//!   distributed-ScaSRS `sample_exact` (SRS baseline), and the
-//!   groupBy-then-sort `sample_stratified_exact` (STS baseline).
+//! * [`Pds`] — a partitioned dataset (RDD analogue) with exactly the
+//!   operators the engine's systems run: narrow `map`/`map_partitions`,
+//!   the hash-shuffle `group_by_key`, distributed-ScaSRS `sample_exact`
+//!   (SRS baseline), and the groupBy-then-sort `sample_stratified_exact`
+//!   (STS baseline).
 //! * [`MicroBatch`] and [`completed_windows`] — one batch interval's
 //!   items, and the windows a watermark advance completes. Cutting a
 //!   stream into batches is not done here: every `streamapprox` engine
@@ -32,10 +32,17 @@
 //! let batch: Vec<_> = (0..100)
 //!     .map(|i| StreamItem::new(StratumId(0), EventTime::from_millis(i), i as u64))
 //!     .collect();
-//! let total = Pds::from_vec(batch, 4)
-//!     .map(&cluster, |it| it.value)
-//!     .aggregate(&cluster, 0u64, |a, x| a + x, |a, b| a + b);
+//! // Native: fold each partition in parallel, combine on the driver.
+//! let total: u64 = Pds::from_vec(batch.clone(), 4)
+//!     .map_partitions(&cluster, |_, part| vec![part.iter().map(|it| it.value).sum::<u64>()])
+//!     .collect()
+//!     .into_iter()
+//!     .sum();
 //! assert_eq!(total, (0..100).sum::<u64>());
+//!
+//! // SRS baseline: an exact-size simple random sample of 10 items.
+//! let sample = Pds::from_vec(batch, 4).sample_exact(&cluster, 10, 7).collect();
+//! assert_eq!(sample.len(), 10);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,13 +1,15 @@
 //! `Pds` — a partitioned dataset, the engine's RDD analogue.
 //!
 //! A [`Pds<T>`] holds its data as owned partitions and executes
-//! transformations as parallel stages on a [`Cluster`]. Narrow
-//! transformations (`map`, `filter`, `map_partitions`) run one task per
-//! partition with no data movement; wide transformations (`group_by_key`,
-//! `reduce_by_key`) perform a real hash shuffle with a stage barrier, and
-//! charge a simulated serialization cost (clone + drop) for records that
-//! cross node boundaries — the synchronization the paper blames for
-//! Spark-based STS's poor scaling (§4.1.1, §5.2).
+//! transformations as parallel stages on a [`Cluster`]. Its operators are
+//! the ones the batched engine's four systems run: narrow transformations
+//! (`map`, `map_partitions`) run one task per partition with no data
+//! movement; the wide `group_by_key` performs a real hash shuffle with a
+//! stage barrier, and charges a simulated serialization cost (clone +
+//! drop) for records that cross node boundaries — the synchronization the
+//! paper blames for Spark-based STS's poor scaling (§4.1.1, §5.2); and the
+//! two baseline samplers, `sample_exact` (SRS) and
+//! `sample_stratified_exact` (STS), sit on top.
 //!
 //! Lineage tracking and fault tolerance are out of scope: the paper's
 //! evaluation never kills workers, so recomputation machinery would be dead
@@ -16,8 +18,8 @@
 use crate::cluster::Cluster;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sa_sampling::{scasrs_sample, scasrs_thresholds, SCASRS_DELTA};
-use sa_types::{StratifiedSample, StratumId, StratumSample};
+use sa_sampling::{sample_by_key_exact, scasrs_thresholds, SCASRS_DELTA};
+use sa_types::{StratifiedSample, StratumId};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
 use std::sync::Arc;
@@ -61,19 +63,6 @@ impl<T: Send + 'static> Pds<T> {
         Pds { partitions }
     }
 
-    /// Wraps pre-partitioned data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partitions` is empty.
-    pub fn from_partitions(partitions: Vec<Vec<T>>) -> Self {
-        assert!(
-            !partitions.is_empty(),
-            "dataset needs at least one partition"
-        );
-        Pds { partitions }
-    }
-
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
         self.partitions.len()
@@ -93,11 +82,6 @@ impl<T: Send + 'static> Pds<T> {
         out
     }
 
-    /// Borrows the partitions (for tests and window bookkeeping).
-    pub fn partitions(&self) -> &[Vec<T>] {
-        &self.partitions
-    }
-
     /// Narrow transformation: applies `f` to every element, in parallel per
     /// partition.
     pub fn map<U, F>(self, cluster: &Cluster, f: F) -> Pds<U>
@@ -112,18 +96,6 @@ impl<T: Send + 'static> Pds<T> {
         Pds { partitions }
     }
 
-    /// Narrow transformation: keeps elements satisfying `pred`.
-    pub fn filter<F>(self, cluster: &Cluster, pred: F) -> Pds<T>
-    where
-        F: Fn(&T) -> bool + Send + Sync + 'static,
-    {
-        let pred = Arc::new(pred);
-        let partitions = cluster.run(self.partitions, move |_, part: Vec<T>| {
-            part.into_iter().filter(|x| pred(x)).collect::<Vec<T>>()
-        });
-        Pds { partitions }
-    }
-
     /// Narrow transformation over whole partitions: `f` receives the
     /// partition index and its elements.
     pub fn map_partitions<U, F>(self, cluster: &Cluster, f: F) -> Pds<U>
@@ -133,43 +105,6 @@ impl<T: Send + 'static> Pds<T> {
     {
         let f = Arc::new(f);
         let partitions = cluster.run(self.partitions, move |i, part| f(i, part));
-        Pds { partitions }
-    }
-
-    /// Parallel fold-then-reduce: folds each partition with `fold`, then
-    /// combines the per-partition accumulators with `combine` on the driver.
-    pub fn aggregate<A, FF, CF>(self, cluster: &Cluster, init: A, fold: FF, combine: CF) -> A
-    where
-        A: Send + Sync + Clone + 'static,
-        FF: Fn(A, T) -> A + Send + Sync + 'static,
-        CF: Fn(A, A) -> A,
-    {
-        let fold = Arc::new(fold);
-        let seed = init.clone();
-        let partials = cluster.run(self.partitions, move |_, part: Vec<T>| {
-            part.into_iter().fold(seed.clone(), |acc, x| fold(acc, x))
-        });
-        partials.into_iter().fold(init, combine)
-    }
-
-    /// Bernoulli sampling per partition — Spark's `sample(withReplacement =
-    /// false, fraction)`: one narrow pass, no synchronization, random
-    /// output size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `(0, 1]`.
-    pub fn sample_fraction(self, cluster: &Cluster, fraction: f64, seed: u64) -> Pds<T> {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "sampling fraction must be in (0, 1]"
-        );
-        let partitions = cluster.run(self.partitions, move |i, part: Vec<T>| {
-            let mut rng = SmallRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37));
-            part.into_iter()
-                .filter(|_| rng.gen::<f64>() < fraction)
-                .collect::<Vec<T>>()
-        });
         Pds { partitions }
     }
 
@@ -189,7 +124,9 @@ impl<T: Send + 'static> Pds<T> {
             return self;
         }
         if total == 0 {
-            return Pds::from_partitions(vec![Vec::new()]);
+            return Pds {
+                partitions: vec![Vec::new()],
+            };
         }
         let (low, high) = scasrs_thresholds(total, n, SCASRS_DELTA);
         // Map stage: threshold locally.
@@ -226,15 +163,6 @@ impl<T: Send + 'static> Pds<T> {
             }
         }
         Pds::from_vec(accepted, parts)
-    }
-}
-
-impl<T: Send + Clone + 'static> Pds<T> {
-    /// Re-chunks the data into `num_partitions` partitions (full shuffle).
-    pub fn repartition(self, cluster: &Cluster, num_partitions: usize) -> Pds<T> {
-        let data = self.collect();
-        let _ = cluster;
-        Pds::from_vec(data, num_partitions)
     }
 }
 
@@ -275,58 +203,6 @@ where
                 }
             }
             groups.into_iter().collect::<Vec<(K, Vec<V>)>>()
-        });
-        Pds { partitions }
-    }
-
-    /// Wide transformation: merges values per key with `f`, combining
-    /// map-side first (so the shuffle moves one record per key per
-    /// partition, not one per item — the optimization Spark applies and
-    /// `group_by_key` lacks).
-    pub fn reduce_by_key<F>(self, cluster: &Cluster, f: F) -> Pds<(K, V)>
-    where
-        F: Fn(V, V) -> V + Send + Sync + 'static,
-    {
-        let out_parts = self.num_partitions();
-        let f = Arc::new(f);
-        let f_map = Arc::clone(&f);
-        // Map-side combine.
-        let combined = cluster.run(self.partitions, move |_, part: Vec<(K, V)>| {
-            let mut acc: HashMap<K, V, BuildHasherDefault<DefaultHasher>> = HashMap::default();
-            for (k, v) in part {
-                match acc.remove(&k) {
-                    Some(prev) => {
-                        let merged = f_map(prev, v);
-                        acc.insert(k, merged);
-                    }
-                    None => {
-                        acc.insert(k, v);
-                    }
-                }
-            }
-            acc.into_iter().collect::<Vec<(K, V)>>()
-        });
-        let combined = Pds {
-            partitions: combined,
-        };
-        let buckets = combined.shuffle_buckets(cluster, out_parts);
-        let f_reduce = f;
-        let partitions = cluster.run(buckets, move |_, shards: Vec<Vec<(K, V)>>| {
-            let mut acc: HashMap<K, V, BuildHasherDefault<DefaultHasher>> = HashMap::default();
-            for shard in shards {
-                for (k, v) in shard {
-                    match acc.remove(&k) {
-                        Some(prev) => {
-                            let merged = f_reduce(prev, v);
-                            acc.insert(k, merged);
-                        }
-                        None => {
-                            acc.insert(k, v);
-                        }
-                    }
-                }
-            }
-            acc.into_iter().collect::<Vec<(K, V)>>()
         });
         Pds { partitions }
     }
@@ -386,16 +262,7 @@ impl<T: Send + Clone + 'static> Pds<(StratumId, T)> {
             grouped.partitions,
             move |i, groups: Vec<(StratumId, Vec<T>)>| {
                 let mut rng = SmallRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0xBEE5));
-                groups
-                    .into_iter()
-                    .map(|(stratum, items)| {
-                        let population = items.len() as u64;
-                        let target =
-                            ((population as f64 * fraction).ceil() as usize).min(items.len());
-                        let selected = scasrs_sample(items, target, &mut rng);
-                        StratumSample::new(stratum, selected, population, target.max(1))
-                    })
-                    .collect::<Vec<StratumSample<T>>>()
+                sample_by_key_exact(groups, fraction, &mut rng).into_strata()
             },
         );
         sampled.into_iter().flatten().collect()
@@ -415,7 +282,7 @@ mod tests {
         let pds = Pds::from_vec((0..10).collect::<Vec<i32>>(), 3);
         assert_eq!(pds.num_partitions(), 3);
         assert_eq!(pds.count(), 10);
-        let sizes: Vec<usize> = pds.partitions().iter().map(Vec::len).collect();
+        let sizes: Vec<usize> = pds.partitions.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![4, 4, 2]);
     }
 
@@ -428,10 +295,13 @@ mod tests {
 
     #[test]
     fn map_filter_roundtrip() {
+        // A filter is a narrow `map_partitions`; both stages keep order.
         let c = cluster();
         let out = Pds::from_vec((0..100).collect::<Vec<i32>>(), 7)
             .map(&c, |x| x * 3)
-            .filter(&c, |x| x % 2 == 0)
+            .map_partitions(&c, |_, part| {
+                part.into_iter().filter(|x| x % 2 == 0).collect()
+            })
             .collect();
         let expected: Vec<i32> = (0..100).map(|x| x * 3).filter(|x| x % 2 == 0).collect();
         assert_eq!(out, expected);
@@ -448,13 +318,14 @@ mod tests {
 
     #[test]
     fn aggregate_sums() {
+        // Fold per partition, combine on the driver: the native pane's
+        // shape.
         let c = cluster();
-        let total = Pds::from_vec((1..=100).collect::<Vec<u64>>(), 8).aggregate(
-            &c,
-            0u64,
-            |acc, x| acc + x,
-            |a, b| a + b,
-        );
+        let total: u64 = Pds::from_vec((1..=100).collect::<Vec<u64>>(), 8)
+            .map_partitions(&c, |_, part| vec![part.into_iter().sum::<u64>()])
+            .collect()
+            .into_iter()
+            .sum();
         assert_eq!(total, 5_050);
     }
 
@@ -480,7 +351,7 @@ mod tests {
         let grouped = Pds::from_vec(data, 6).group_by_key(&c);
         // Every key appears in exactly one partition.
         let mut seen: HashMap<u32, usize> = HashMap::new();
-        for (p, part) in grouped.partitions().iter().enumerate() {
+        for (p, part) in grouped.partitions.iter().enumerate() {
             for (k, _) in part {
                 if let Some(prev) = seen.insert(*k, p) {
                     assert_eq!(prev, p, "key {k} split across partitions");
@@ -488,33 +359,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 17);
-    }
-
-    #[test]
-    fn reduce_by_key_matches_group_then_fold() {
-        let c = cluster();
-        let data: Vec<(u32, u64)> = (0..500).map(|i| (i % 7, u64::from(i))).collect();
-        let mut reduced = Pds::from_vec(data.clone(), 5)
-            .reduce_by_key(&c, |a, b| a + b)
-            .collect();
-        reduced.sort_by_key(|(k, _)| *k);
-        let mut expected: HashMap<u32, u64> = HashMap::new();
-        for (k, v) in data {
-            *expected.entry(k).or_default() += v;
-        }
-        let mut expected: Vec<(u32, u64)> = expected.into_iter().collect();
-        expected.sort_by_key(|(k, _)| *k);
-        assert_eq!(reduced, expected);
-    }
-
-    #[test]
-    fn sample_fraction_is_roughly_proportional() {
-        let c = cluster();
-        let out = Pds::from_vec((0..100_000).collect::<Vec<u32>>(), 8)
-            .sample_fraction(&c, 0.3, 42)
-            .collect();
-        let y = out.len() as f64;
-        assert!((y - 30_000.0).abs() < 1_500.0, "sampled {y}");
     }
 
     #[test]

@@ -21,18 +21,6 @@ pub struct MicroBatch<T> {
     pub items: Vec<StreamItem<T>>,
 }
 
-impl<T> MicroBatch<T> {
-    /// Number of items in the batch.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the interval saw no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
 /// Enumerates the sliding windows of `spec` that are *complete* once every
 /// batch up to `watermark` has been processed — i.e. windows whose end is
 /// at or before the watermark and after `previous_watermark`. A stream's

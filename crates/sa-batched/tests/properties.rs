@@ -32,7 +32,8 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// filter keeps exactly the matching elements in order.
+    /// A filtering map_partitions keeps exactly the matching elements, in
+    /// order.
     #[test]
     fn filter_matches_sequential(
         data in proptest::collection::vec(any::<u16>(), 0..500),
@@ -42,12 +43,16 @@ proptest! {
         let c = cluster();
         let expected: Vec<u16> = data.iter().copied().filter(|x| x % modulus == 0).collect();
         let got = Pds::from_vec(data, parts)
-            .filter(&c, move |x| x % modulus == 0)
+            .map_partitions(&c, move |_, part| {
+                part.into_iter().filter(|x| x % modulus == 0).collect()
+            })
             .collect();
         prop_assert_eq!(got, expected);
     }
 
-    /// aggregate computes the same fold as a plain iterator.
+    /// Folding each partition and combining the partials on the driver
+    /// (the native pane's shape) computes the same fold as a plain
+    /// iterator.
     #[test]
     fn aggregate_matches_fold(
         data in proptest::collection::vec(-1000i64..1000, 0..400),
@@ -55,7 +60,11 @@ proptest! {
     ) {
         let c = cluster();
         let expected: i64 = data.iter().sum();
-        let got = Pds::from_vec(data, parts).aggregate(&c, 0i64, |a, x| a + x, |a, b| a + b);
+        let got: i64 = Pds::from_vec(data, parts)
+            .map_partitions(&c, |_, part| vec![part.into_iter().sum::<i64>()])
+            .collect()
+            .into_iter()
+            .sum();
         prop_assert_eq!(got, expected);
     }
 
@@ -80,26 +89,6 @@ proptest! {
             want.sort_unstable();
             prop_assert_eq!(vals, want, "key {}", k);
         }
-    }
-
-    /// reduce_by_key equals group_by_key + fold for an associative op.
-    #[test]
-    fn reduce_by_key_matches_grouped_fold(
-        data in proptest::collection::vec((0u32..8, 0u64..1000), 0..400),
-        parts in 1usize..5,
-    ) {
-        let c = cluster();
-        let mut expected: HashMap<u32, u64> = HashMap::new();
-        for &(k, v) in &data {
-            *expected.entry(k).or_default() += v;
-        }
-        let mut got = Pds::from_vec(data, parts)
-            .reduce_by_key(&c, |a, b| a + b)
-            .collect();
-        got.sort_unstable();
-        let mut want: Vec<(u32, u64)> = expected.into_iter().collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
     }
 
     /// sample_exact returns exactly min(k, n) distinct elements of the

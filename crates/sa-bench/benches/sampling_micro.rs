@@ -4,9 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sa_sampling::{
-    sample_by_key_exact, scasrs_sample, BernoulliSampler, OasrsSampler, Reservoir, SizingPolicy,
-};
+use sa_sampling::{sample_by_key_exact, scasrs_sample, OasrsSampler, Reservoir, SizingPolicy};
 use sa_types::StratumId;
 
 fn bench_reservoir(c: &mut Criterion) {
@@ -81,25 +79,9 @@ fn bench_stratified(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bernoulli(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bernoulli");
-    group.throughput(Throughput::Elements(100_000));
-    group.bench_function("keep_100k_at_40pct", |b| {
-        b.iter_batched(
-            || SmallRng::seed_from_u64(5),
-            |mut rng| {
-                let s = BernoulliSampler::new(0.4);
-                (0..100_000u64).filter(|_| s.keep(&mut rng)).count()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_reservoir, bench_oasrs, bench_scasrs, bench_stratified, bench_bernoulli
+    targets = bench_reservoir, bench_oasrs, bench_scasrs, bench_stratified
 }
 criterion_main!(benches);

@@ -355,21 +355,6 @@ impl Table {
     }
 }
 
-/// Writes a machine-readable result file to `results/<name>.json` and
-/// prints where it went — the companion of [`Table::emit`] for benches
-/// whose output feeds tooling (trend lines, regression gates) rather than
-/// eyes. The caller provides the JSON body; see `benches/shard_scaling.rs`
-/// for the shape convention (`bench`, `host`, `series`).
-pub fn emit_json(name: &str, json: &str) {
-    let dir = results_dir();
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = format!("{dir}/{name}.json");
-        if std::fs::write(&path, json).is_ok() {
-            println!("   (saved {path})");
-        }
-    }
-}
-
 fn results_dir() -> &'static str {
     static DIR: OnceLock<String> = OnceLock::new();
     DIR.get_or_init(|| format!("{}/../../results", env!("CARGO_MANIFEST_DIR")))

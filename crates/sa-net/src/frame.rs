@@ -15,15 +15,12 @@
 //! allocation. Payloads decode with the strict [`sa_types::wire`] reader,
 //! so trailing garbage inside a frame is also an error.
 //!
-//! Two consumption styles are provided:
-//!
-//! * [`read_message`] / [`write_message`] — blocking helpers for
-//!   `std::net::TcpStream` (or any `Read`/`Write`). A clean EOF *between*
-//!   frames returns `Ok(None)`; an EOF *inside* a frame is a peer failure
-//!   and returns [`SaError::Disconnected`].
-//! * [`FrameBuffer`] — a sans-io incremental decoder: feed it bytes as
-//!   they arrive, pull complete frames out. Useful for tests and for any
-//!   future non-blocking transport.
+//! [`read_message`] / [`write_message`] are blocking helpers for
+//! `std::net::TcpStream` (or any `Read`/`Write`). A clean EOF *between*
+//! frames returns `Ok(None)`; an EOF *inside* a frame is a peer failure and
+//! returns [`SaError::Disconnected`]. `read_message` accepts the header in
+//! whatever fragments the transport delivers and checks each prefix as it
+//! arrives.
 
 use crate::message::Message;
 use sa_types::{SaError, WireDecode, WireEncode};
@@ -47,7 +44,7 @@ pub const WIRE_VERSION: u8 = 2;
 pub const MAX_FRAME: usize = 16 << 20;
 
 /// Bytes in the fixed frame header.
-pub const HEADER_LEN: usize = 7;
+const HEADER_LEN: usize = 7;
 
 /// Validates the fixed header fields available in `buf` so far.
 ///
@@ -141,63 +138,6 @@ pub fn read_message<R: Read>(r: &mut R) -> Result<Option<Message>, SaError> {
     Message::from_wire_bytes(&payload).map(Some)
 }
 
-/// A sans-io incremental frame decoder.
-///
-/// Feed raw bytes with [`FrameBuffer::extend`]; pull decoded messages with
-/// [`FrameBuffer::next_message`]. Errors are sticky in the sense that a
-/// corrupt header keeps erroring — framing has no resynchronization point,
-/// so callers should drop the connection.
-///
-/// # Example
-///
-/// ```
-/// use sa_net::{frame, FrameBuffer, Message};
-///
-/// let mut wire = Vec::new();
-/// frame::write_message(&mut wire, &Message::Shutdown { worker: 0 }).unwrap();
-/// let mut fb = FrameBuffer::new();
-/// for byte in wire {
-///     fb.extend(&[byte]); // arbitrarily fragmented arrival
-/// }
-/// assert_eq!(fb.next_message().unwrap(), Some(Message::Shutdown { worker: 0 }));
-/// assert_eq!(fb.next_message().unwrap(), None);
-/// ```
-#[derive(Debug, Default)]
-pub struct FrameBuffer {
-    buf: Vec<u8>,
-}
-
-impl FrameBuffer {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        FrameBuffer::default()
-    }
-
-    /// Appends bytes received from the transport.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed as a complete frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Decodes the next complete message, if one is fully buffered.
-    pub fn next_message(&mut self) -> Result<Option<Message>, SaError> {
-        let Some(len) = check_header(&self.buf)? else {
-            return Ok(None);
-        };
-        let total = HEADER_LEN + len;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let msg = Message::from_wire_bytes(&self.buf[HEADER_LEN..total])?;
-        self.buf.drain(..total);
-        Ok(Some(msg))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,6 +146,33 @@ mod tests {
         let mut wire = Vec::new();
         write_message(&mut wire, &Message::Shutdown { worker: 3 }).unwrap();
         wire
+    }
+
+    /// A transport that delivers one byte per `read`, the most fragmented
+    /// arrival a socket can produce, and counts the reads it served.
+    struct OneByte<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl<'a> OneByte<'a> {
+        fn new(bytes: &'a [u8]) -> Self {
+            OneByte { bytes, reads: 0 }
+        }
+    }
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match (self.bytes.split_first(), buf.first_mut()) {
+                (Some((&first, rest)), Some(slot)) => {
+                    *slot = first;
+                    self.bytes = rest;
+                    self.reads += 1;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
     }
 
     #[test]
@@ -243,10 +210,10 @@ mod tests {
         wire[0] = b'X';
         let mut r = wire.as_slice();
         assert!(matches!(read_message(&mut r), Err(SaError::Wire(_))));
-        // Sans-io path agrees, even with just one buffered byte.
-        let mut fb = FrameBuffer::new();
-        fb.extend(&wire[..1]);
-        assert!(fb.next_message().is_err());
+        // Byte by byte, the first byte is enough to refuse the frame.
+        let mut r = OneByte::new(&wire);
+        assert!(matches!(read_message(&mut r), Err(SaError::Wire(_))));
+        assert_eq!(r.reads, 1);
     }
 
     #[test]
@@ -258,6 +225,10 @@ mod tests {
             Err(SaError::Wire(why)) => assert!(why.contains("version 99"), "{why}"),
             other => panic!("unexpected {other:?}"),
         }
+        // Byte by byte, the version byte is the last one read.
+        let mut r = OneByte::new(&wire);
+        assert!(matches!(read_message(&mut r), Err(SaError::Wire(_))));
+        assert_eq!(r.reads, 3);
     }
 
     #[test]
@@ -270,9 +241,10 @@ mod tests {
             Err(SaError::Wire(why)) => assert!(why.contains("exceeds maximum"), "{why}"),
             other => panic!("unexpected {other:?}"),
         }
-        let mut fb = FrameBuffer::new();
-        fb.extend(&wire);
-        assert!(fb.next_message().is_err());
+        // Byte by byte, refused once the header is complete.
+        let mut r = OneByte::new(&wire);
+        assert!(matches!(read_message(&mut r), Err(SaError::Wire(_))));
+        assert_eq!(r.reads, HEADER_LEN);
     }
 
     #[test]
@@ -294,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_buffer_reassembles_fragmented_input() {
+    fn read_message_reassembles_one_byte_reads() {
         let mut wire = Vec::new();
         let msgs = [
             Message::HelloJoin {
@@ -315,15 +287,12 @@ mod tests {
         for m in &msgs {
             write_message(&mut wire, m).unwrap();
         }
-        let mut fb = FrameBuffer::new();
+        let mut r = OneByte::new(&wire);
         let mut decoded = Vec::new();
-        for chunk in wire.chunks(3) {
-            fb.extend(chunk);
-            while let Some(m) = fb.next_message().unwrap() {
-                decoded.push(m);
-            }
+        while let Some(m) = read_message(&mut r).unwrap() {
+            decoded.push(m);
         }
         assert_eq!(decoded.as_slice(), msgs.as_slice());
-        assert_eq!(fb.pending(), 0);
+        assert_eq!(r.reads, wire.len());
     }
 }

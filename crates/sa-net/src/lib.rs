@@ -47,6 +47,6 @@ pub mod frame;
 mod message;
 pub mod snapshot;
 
-pub use frame::{FrameBuffer, MAX_FRAME, WIRE_VERSION};
+pub use frame::{MAX_FRAME, WIRE_VERSION};
 pub use message::{Digest, DigestPayload, Directive, Message, WindowResultMsg};
 pub use snapshot::{open_snapshot, seal_snapshot, MAX_SNAPSHOT, SNAPSHOT_VERSION};

@@ -1,41 +1,29 @@
 //! Topology construction and execution: operator instances on threads,
-//! bounded channels, watermark alignment and exchanges.
+//! bounded channels, round-robin exchanges and watermark alignment.
 
 use crate::message::{Signal, Tagged};
 use crate::operator::Operator;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use sa_types::{EventTime, SaError, StreamItem};
-use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::thread::JoinHandle;
 
-/// Default capacity of inter-operator channels. Bounded channels give the
-/// pipeline natural backpressure: a slow operator stalls its producers
-/// instead of buffering unboundedly.
-pub const DEFAULT_CHANNEL_CAPACITY: usize = 256;
+/// Capacity of every inter-operator channel and of the push source's feed.
+/// Bounded channels give the pipeline natural backpressure: a slow
+/// operator stalls its producers instead of buffering unboundedly.
+const CHANNEL_CAPACITY: usize = 256;
 
 /// Records per network buffer (the Flink-style record batch amortizing
 /// channel synchronization; watermarks flush partial buffers immediately).
-pub const RECORD_BUFFER: usize = 64;
+const RECORD_BUFFER: usize = 64;
 
-/// How an upstream stage's output is distributed over the next stage's
-/// instances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exchange {
-    /// Instance `i` feeds instance `i % downstream_parallelism` — no
-    /// redistribution cost, preserves per-instance order.
-    Forward,
-    /// Round-robin over downstream instances, balancing load.
-    Rebalance,
-    /// Hash-partition by stratum: all items of one sub-stream reach the
-    /// same downstream instance (Flink's `keyBy`).
-    KeyByStratum,
-}
-
+/// One producer's outgoing side: deals records round-robin over the next
+/// stage's instances (Flink's `rebalance`), starting at instance
+/// `producer_idx % n` so parallel producers do not all begin on the same
+/// one.
 struct Routing<T> {
     senders: Vec<Sender<Tagged<T>>>,
     /// One record buffer per downstream target.
     buffers: Vec<Vec<StreamItem<T>>>,
-    exchange: Exchange,
     producer_idx: usize,
     rr_next: usize,
     /// Set once any downstream receiver is gone (operator death), so
@@ -44,44 +32,21 @@ struct Routing<T> {
 }
 
 impl<T> Routing<T> {
-    fn new(senders: Vec<Sender<Tagged<T>>>, exchange: Exchange, producer_idx: usize) -> Self {
-        let rr_next = if senders.is_empty() {
-            0
-        } else {
-            producer_idx % senders.len()
-        };
+    fn new(senders: Vec<Sender<Tagged<T>>>, producer_idx: usize) -> Self {
+        let rr_next = producer_idx % senders.len();
         let buffers = senders.iter().map(|_| Vec::new()).collect();
         Routing {
             senders,
             buffers,
-            exchange,
             producer_idx,
             rr_next,
             dead: false,
         }
     }
 
-    /// Whether some downstream receiver has disappeared. A source that
-    /// observes this should stop: its own feed channel then closes, which
-    /// is how `PushSource::push` learns the flow is gone.
-    fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     fn send_item(&mut self, item: StreamItem<T>) {
-        let n = self.senders.len();
-        let target = match self.exchange {
-            Exchange::Forward => self.producer_idx % n,
-            Exchange::Rebalance => {
-                let t = self.rr_next;
-                self.rr_next = (self.rr_next + 1) % n;
-                t
-            }
-            Exchange::KeyByStratum => {
-                let hasher = BuildHasherDefault::<DefaultHasher>::default();
-                (hasher.hash_one(item.stratum) % n as u64) as usize
-            }
-        };
+        let target = self.rr_next;
+        self.rr_next = (self.rr_next + 1) % self.senders.len();
         let buffer = &mut self.buffers[target];
         buffer.push(item);
         if buffer.len() >= RECORD_BUFFER {
@@ -192,44 +157,14 @@ fn instance_loop<I, O, Op>(
     routing.broadcast_end();
 }
 
-type SpawnFn<T> = Box<dyn FnOnce(Vec<Sender<Tagged<T>>>, Exchange) -> Vec<JoinHandle<()>> + Send>;
-
-/// The shared source loop: watermark whenever event time advances by
-/// `watermark_interval_ms`, then forward the item. Used by both the
-/// vector-backed sources and the push source, so a pushed stream produces
-/// bit-for-bit the same signal sequence as the same stream replayed from a
-/// `Vec`.
-fn drive_source<T>(
-    items: impl Iterator<Item = StreamItem<T>>,
-    watermark_interval_ms: i64,
-    routing: &mut Routing<T>,
-) {
-    let mut last_wm = EventTime::MIN;
-    for item in items {
-        if last_wm == EventTime::MIN || item.time.millis_since(last_wm) >= watermark_interval_ms {
-            last_wm = item.time;
-            routing.broadcast_watermark(item.time);
-        }
-        routing.send_item(item);
-        // A dead downstream cannot recover; exiting closes this source's
-        // feed channel, surfacing the failure to the feeder (a live
-        // PushSource gets `Disconnected` instead of silently-ignored
-        // pushes).
-        if routing.is_dead() {
-            break;
-        }
-    }
-    routing.broadcast_watermark(EventTime::MAX);
-    routing.broadcast_end();
-}
+type SpawnFn<T> = Box<dyn FnOnce(Vec<Sender<Tagged<T>>>) -> Vec<JoinHandle<()>> + Send>;
 
 /// The feeding half of a push-driven source stage (see
-/// [`Flow::source_push`]): items pushed here enter the dataflow live, with
-/// the same watermarking a vector-backed source applies.
+/// [`Flow::source_push`]): items pushed here enter the dataflow live.
 ///
-/// Dropping the handle (or calling [`PushSource::finish`]) ends the
-/// stream: the source emits a final `EventTime::MAX` watermark and
-/// end-of-stream, flushing every window still open downstream.
+/// Dropping the handle ends the stream: the source emits a final
+/// `EventTime::MAX` watermark and end-of-stream, flushing every window
+/// still open downstream.
 #[derive(Debug)]
 pub struct PushSource<T> {
     tx: Sender<StreamItem<T>>,
@@ -240,7 +175,7 @@ impl<T> PushSource<T> {
     /// saturated (bounded channels give the push path backpressure).
     ///
     /// Items must be pushed in non-decreasing event-time order — the
-    /// source trusts its caller exactly as it trusts a pre-sorted `Vec`.
+    /// source derives its watermarks from the item times it sees.
     ///
     /// # Errors
     ///
@@ -254,10 +189,6 @@ impl<T> PushSource<T> {
             .send(item)
             .map_err(|_| SaError::Disconnected("pipelined push source"))
     }
-
-    /// Ends the stream. Equivalent to dropping the handle; provided so
-    /// call sites can make the end-of-stream explicit.
-    pub fn finish(self) {}
 }
 
 /// A running dataflow's sink side, produced by [`Flow::into_handle`]:
@@ -289,17 +220,11 @@ impl<T> FlowHandle<T> {
         out
     }
 
-    /// Whether every producer has signalled end-of-stream.
-    pub fn is_ended(&self) -> bool {
-        self.ended >= self.producers
-    }
-
     /// Blocks until the dataflow completes, returning the remaining items
     /// and joining every operator thread.
     ///
-    /// End the sources first — drop the [`PushSource`] of a push-driven
-    /// flow — or this blocks forever waiting for an end-of-stream that
-    /// cannot come.
+    /// Drop the [`PushSource`] first, or this blocks forever waiting for an
+    /// end-of-stream that cannot come.
     pub fn drain_to_end(mut self) -> Vec<StreamItem<T>> {
         let mut out = Vec::new();
         while self.ended < self.producers {
@@ -320,89 +245,46 @@ impl<T> FlowHandle<T> {
 /// A dataflow under construction, typed by the items its last stage emits.
 ///
 /// Stages spawn as the topology is built (each `then` call wires and starts
-/// the upstream stage); [`Flow::collect`] attaches a sink and drains it.
-/// Bounded channels keep memory finite while construction races execution.
+/// the upstream stage); [`Flow::into_handle`] attaches the sink. Bounded
+/// channels keep memory finite while construction races execution.
 ///
 /// # Example
 ///
 /// ```
-/// use sa_pipelined::{Exchange, Flow, Map};
-/// use sa_types::{StreamItem, StratumId, EventTime};
+/// use sa_pipelined::{Flow, Operator};
+/// use sa_types::{EventTime, StratumId, StreamItem};
 ///
-/// let items: Vec<_> = (0..100u32)
-///     .map(|i| StreamItem::new(StratumId(i % 3), EventTime::from_millis(i as i64), i))
-///     .collect();
-/// let out = Flow::source(items, 10)
-///     .then(2, Exchange::Rebalance, |_| Map::new(|v: u32| u64::from(v) * 2))
-///     .collect();
-/// let sum: u64 = out.iter().map(|i| i.value).sum();
+/// /// Doubles every value.
+/// struct Double;
+/// impl Operator<u32, u64> for Double {
+///     fn on_item(&mut self, item: StreamItem<u32>, out: &mut dyn FnMut(StreamItem<u64>)) {
+///         out(item.map(|v| u64::from(v) * 2));
+///     }
+/// }
+///
+/// let (source, flow) = Flow::source_push(10);
+/// let sink = flow.then(2, |_| Double).into_handle();
+/// for i in 0..100u32 {
+///     let item = StreamItem::new(StratumId(i % 3), EventTime::from_millis(i64::from(i)), i);
+///     source.push(item).unwrap();
+/// }
+/// drop(source); // end of stream
+/// let sum: u64 = sink.drain_to_end().iter().map(|i| i.value).sum();
 /// assert_eq!(sum, (0..100u64).map(|v| v * 2).sum::<u64>());
 /// ```
 pub struct Flow<T> {
     spawn: SpawnFn<T>,
     parallelism: usize,
-    channel_capacity: usize,
 }
 
 impl<T: Send + 'static> Flow<T> {
-    /// A single-instance source reading a time-ordered item vector,
-    /// emitting a watermark whenever event time advances by
-    /// `watermark_interval_ms` (and a final `EventTime::MAX` watermark).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `watermark_interval_ms` is not positive.
-    pub fn source(items: Vec<StreamItem<T>>, watermark_interval_ms: i64) -> Flow<T> {
-        Self::source_parallel(vec![items], watermark_interval_ms)
-    }
-
-    /// A parallel source: one instance per element of `parts`, each
-    /// time-ordered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or `watermark_interval_ms` is not
-    /// positive.
-    pub fn source_parallel(parts: Vec<Vec<StreamItem<T>>>, watermark_interval_ms: i64) -> Flow<T> {
-        assert!(!parts.is_empty(), "source needs at least one instance");
-        assert!(
-            watermark_interval_ms > 0,
-            "watermark interval must be positive"
-        );
-        let parallelism = parts.len();
-        Flow {
-            parallelism,
-            channel_capacity: DEFAULT_CHANNEL_CAPACITY,
-            spawn: Box::new(move |senders, exchange| {
-                parts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(idx, items)| {
-                        let mut routing = Routing::new(senders.clone(), exchange, idx);
-                        std::thread::Builder::new()
-                            .name(format!("sa-source-{idx}"))
-                            .spawn(move || {
-                                drive_source(
-                                    items.into_iter(),
-                                    watermark_interval_ms,
-                                    &mut routing,
-                                );
-                            })
-                            .expect("spawning source thread")
-                    })
-                    .collect()
-            }),
-        }
-    }
-
     /// A single-instance source fed live through the returned
-    /// [`PushSource`] handle instead of a pre-recorded vector, with the
-    /// same event-time watermarking as [`Flow::source`]: pushing a stream
-    /// item by item produces exactly the signals replaying it from a `Vec`
-    /// would.
+    /// [`PushSource`] handle. It emits a watermark at the first item and
+    /// whenever event time has advanced by `watermark_interval_ms` since
+    /// the last one, then a final `EventTime::MAX` watermark when the
+    /// handle is dropped.
     ///
-    /// The internal feed channel is bounded at
-    /// [`DEFAULT_CHANNEL_CAPACITY`], so pushes block (backpressure) while
+    /// The feed channel is bounded, so pushes block (backpressure) while
     /// the pipeline is saturated rather than buffering unboundedly.
     ///
     /// # Panics
@@ -413,20 +295,33 @@ impl<T: Send + 'static> Flow<T> {
             watermark_interval_ms > 0,
             "watermark interval must be positive"
         );
-        let (tx, rx) = bounded::<StreamItem<T>>(DEFAULT_CHANNEL_CAPACITY);
+        let (tx, rx) = bounded::<StreamItem<T>>(CHANNEL_CAPACITY);
         let flow = Flow {
             parallelism: 1,
-            channel_capacity: DEFAULT_CHANNEL_CAPACITY,
-            spawn: Box::new(move |senders, exchange| {
-                let mut routing = Routing::new(senders, exchange, 0);
+            spawn: Box::new(move |senders| {
+                let mut routing = Routing::new(senders, 0);
                 vec![std::thread::Builder::new()
                     .name("sa-source-push".into())
                     .spawn(move || {
-                        drive_source(
-                            std::iter::from_fn(|| rx.recv().ok()),
-                            watermark_interval_ms,
-                            &mut routing,
-                        );
+                        let mut last_wm = EventTime::MIN;
+                        while let Ok(item) = rx.recv() {
+                            if last_wm == EventTime::MIN
+                                || item.time.millis_since(last_wm) >= watermark_interval_ms
+                            {
+                                last_wm = item.time;
+                                routing.broadcast_watermark(item.time);
+                            }
+                            routing.send_item(item);
+                            // A dead downstream cannot recover; exiting
+                            // closes the feed channel, so the pusher gets
+                            // `Disconnected` instead of silently-ignored
+                            // pushes.
+                            if routing.dead {
+                                break;
+                            }
+                        }
+                        routing.broadcast_watermark(EventTime::MAX);
+                        routing.broadcast_end();
                     })
                     .expect("spawning push source thread")]
             }),
@@ -434,47 +329,33 @@ impl<T: Send + 'static> Flow<T> {
         (PushSource { tx }, flow)
     }
 
-    /// Overrides the inter-stage channel capacity for stages added after
-    /// this call.
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "channel capacity must be positive");
-        self.channel_capacity = capacity;
-        self
-    }
-
-    /// Parallelism of the most recently added stage.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Appends a stage of `parallelism` operator instances fed through
-    /// `exchange`; `make(i)` builds the operator for instance `i`. The
-    /// upstream stage starts executing immediately.
+    /// Appends a stage of `parallelism` operator instances, each upstream
+    /// instance dealing its records round-robin over them; `make(i)` builds
+    /// the operator for instance `i`. The upstream stage starts executing
+    /// immediately.
     ///
     /// # Panics
     ///
     /// Panics if `parallelism` is zero.
-    pub fn then<O, Op, Mk>(self, parallelism: usize, exchange: Exchange, make: Mk) -> Flow<O>
+    pub fn then<O, Op, Mk>(self, parallelism: usize, make: Mk) -> Flow<O>
     where
         O: Send + 'static,
         Op: Operator<T, O> + 'static,
         Mk: FnMut(usize) -> Op + Send + 'static,
     {
         assert!(parallelism > 0, "stage parallelism must be positive");
-        let cap = self.channel_capacity;
         type Channels<T> = (Vec<Sender<Tagged<T>>>, Vec<Receiver<Tagged<T>>>);
-        let (txs, rxs): Channels<T> = (0..parallelism).map(|_| bounded(cap)).unzip();
-        let upstream_handles = (self.spawn)(txs, exchange);
+        let (txs, rxs): Channels<T> = (0..parallelism).map(|_| bounded(CHANNEL_CAPACITY)).unzip();
+        let upstream_handles = (self.spawn)(txs);
         let num_producers = self.parallelism;
         Flow {
             parallelism,
-            channel_capacity: cap,
-            spawn: Box::new(move |down_senders, down_exchange| {
+            spawn: Box::new(move |down_senders| {
                 let mut handles = upstream_handles;
                 let mut make = make;
                 for (q, rx) in rxs.into_iter().enumerate() {
                     let op = make(q);
-                    let routing = Routing::new(down_senders.clone(), down_exchange, q);
+                    let routing = Routing::new(down_senders.clone(), q);
                     handles.push(
                         std::thread::Builder::new()
                             .name(format!("sa-op-{q}"))
@@ -492,7 +373,7 @@ impl<T: Send + 'static> Flow<T> {
     pub fn into_handle(self) -> FlowHandle<T> {
         let (tx, rx) = unbounded();
         let producers = self.parallelism;
-        let handles = (self.spawn)(vec![tx], Exchange::Rebalance);
+        let handles = (self.spawn)(vec![tx]);
         FlowHandle {
             rx,
             handles,
@@ -500,19 +381,12 @@ impl<T: Send + 'static> Flow<T> {
             ended: 0,
         }
     }
-
-    /// Attaches a sink, runs the dataflow to completion, and returns every
-    /// emitted item in arrival order at the sink.
-    pub fn collect(self) -> Vec<StreamItem<T>> {
-        self.into_handle().drain_to_end()
-    }
 }
 
 impl<T> std::fmt::Debug for Flow<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Flow")
             .field("parallelism", &self.parallelism)
-            .field("channel_capacity", &self.channel_capacity)
             .finish()
     }
 }
@@ -520,9 +394,9 @@ impl<T> std::fmt::Debug for Flow<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{Filter, Identity, Map};
     use sa_types::StratumId;
     use std::collections::BTreeMap;
+    use std::sync::{Arc, Barrier};
 
     fn items(n: u32) -> Vec<StreamItem<u32>> {
         (0..n)
@@ -530,40 +404,47 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn source_to_sink_roundtrip() {
-        let out = Flow::source(items(500), 50).collect();
-        let mut vals: Vec<u32> = out.iter().map(|i| i.value).collect();
-        vals.sort_unstable();
-        assert_eq!(vals, (0..500).collect::<Vec<_>>());
+    /// Builds a push-fed flow with `build`, pushes `stream`, ends it, and
+    /// returns everything the sink received.
+    fn run<O: Send + 'static>(
+        stream: Vec<StreamItem<u32>>,
+        watermark_interval_ms: i64,
+        build: impl FnOnce(Flow<u32>) -> FlowHandle<O>,
+    ) -> Vec<StreamItem<O>> {
+        let (source, flow) = Flow::source_push(watermark_interval_ms);
+        let sink = build(flow);
+        for item in stream {
+            source.push(item).expect("pipeline alive");
+        }
+        drop(source);
+        sink.drain_to_end()
     }
 
-    #[test]
-    fn map_filter_chain() {
-        let out = Flow::source(items(100), 10)
-            .then(1, Exchange::Forward, |_| {
-                Filter::new(|i: &StreamItem<u32>| i.value % 2 == 0)
-            })
-            .then(1, Exchange::Forward, |_| Map::new(|v: u32| v * 10))
-            .collect();
-        let mut vals: Vec<u32> = out.iter().map(|i| i.value).collect();
-        vals.sort_unstable();
-        let expected: Vec<u32> = (0..100).filter(|v| v % 2 == 0).map(|v| v * 10).collect();
-        assert_eq!(vals, expected);
+    struct Identity;
+    impl Operator<u32, u32> for Identity {
+        fn on_item(&mut self, item: StreamItem<u32>, out: &mut dyn FnMut(StreamItem<u32>)) {
+            out(item);
+        }
     }
 
-    #[test]
-    fn rebalance_preserves_multiset_across_parallel_stage() {
-        let out = Flow::source(items(1_000), 100)
-            .then(4, Exchange::Rebalance, |_| Identity)
-            .collect();
-        let mut vals: Vec<u32> = out.iter().map(|i| i.value).collect();
-        vals.sort_unstable();
-        assert_eq!(vals, (0..1_000).collect::<Vec<_>>());
+    struct Scale(u32);
+    impl Operator<u32, u32> for Scale {
+        fn on_item(&mut self, item: StreamItem<u32>, out: &mut dyn FnMut(StreamItem<u32>)) {
+            let k = self.0;
+            out(item.map(|v| v * k));
+        }
     }
 
-    /// An operator that stamps each item with its instance index, to
-    /// observe routing decisions.
+    struct KeepEven;
+    impl Operator<u32, u32> for KeepEven {
+        fn on_item(&mut self, item: StreamItem<u32>, out: &mut dyn FnMut(StreamItem<u32>)) {
+            if item.value % 2 == 0 {
+                out(item);
+            }
+        }
+    }
+
+    /// Stamps each item with its instance index, to observe routing.
     struct TagInstance(usize);
     impl Operator<u32, (usize, u32)> for TagInstance {
         fn on_item(
@@ -577,32 +458,46 @@ mod tests {
     }
 
     #[test]
-    fn key_by_stratum_routes_consistently() {
-        let out = Flow::source(items(400), 50)
-            .then(3, Exchange::KeyByStratum, TagInstance)
-            .collect();
-        // All items of one stratum must carry the same instance tag.
-        let mut seen: BTreeMap<StratumId, usize> = BTreeMap::new();
+    fn source_to_sink_roundtrip() {
+        let out = run(items(500), 50, Flow::into_handle);
+        let vals: Vec<u32> = out.iter().map(|i| i.value).collect();
+        assert_eq!(vals, (0..500).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_filter_chain() {
+        let out = run(items(100), 10, |f| {
+            f.then(1, |_| KeepEven).then(1, |_| Scale(10)).into_handle()
+        });
+        let mut vals: Vec<u32> = out.iter().map(|i| i.value).collect();
+        vals.sort_unstable();
+        let expected: Vec<u32> = (0..100).filter(|v| v % 2 == 0).map(|v| v * 10).collect();
+        assert_eq!(vals, expected);
+    }
+
+    #[test]
+    fn rebalance_preserves_multiset_across_parallel_stage() {
+        let out = run(items(1_000), 100, |f| f.then(4, |_| Identity).into_handle());
+        let mut vals: Vec<u32> = out.iter().map(|i| i.value).collect();
+        vals.sort_unstable();
+        assert_eq!(vals, (0..1_000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn rebalance_deals_records_round_robin() {
+        // One producer starts at instance 0 and deals in turn.
+        let out = run(items(300), 50, |f| f.then(3, TagInstance).into_handle());
+        assert_eq!(out.len(), 300);
         for item in &out {
-            let (instance, _) = item.value;
-            if let Some(prev) = seen.insert(item.stratum, instance) {
-                assert_eq!(prev, instance, "stratum {} split", item.stratum);
-            }
+            let (instance, v) = item.value;
+            assert_eq!(instance, v as usize % 3, "value {v}");
         }
-        assert_eq!(seen.len(), 4);
     }
 
     /// A windowed counter: counts items per tumbling second, emits
     /// `(window_start_s, count)` when the watermark passes the window end.
     struct SecondCounter {
         counts: BTreeMap<i64, u64>,
-    }
-    impl SecondCounter {
-        fn new() -> Self {
-            SecondCounter {
-                counts: BTreeMap::new(),
-            }
-        }
     }
     impl Operator<u32, (i64, u64)> for SecondCounter {
         fn on_item(&mut self, item: StreamItem<u32>, _out: &mut dyn FnMut(StreamItem<(i64, u64)>)) {
@@ -633,70 +528,60 @@ mod tests {
         let stream: Vec<StreamItem<u32>> = (0..50)
             .map(|i| StreamItem::new(StratumId(0), EventTime::from_millis(i * 100), i as u32))
             .collect();
-        let out = Flow::source(stream, 100)
-            .then(1, Exchange::Forward, |_| SecondCounter::new())
-            .collect();
+        let out = run(stream, 100, |f| {
+            f.then(1, |_| SecondCounter {
+                counts: BTreeMap::new(),
+            })
+            .into_handle()
+        });
         let windows: Vec<(i64, u64)> = out.iter().map(|i| i.value).collect();
         assert_eq!(windows, vec![(0, 10), (1, 10), (2, 10), (3, 10), (4, 10)]);
     }
 
     #[test]
     fn watermarks_align_on_minimum_across_producers() {
-        // Two source instances with very different time ranges; the counter
-        // downstream must only see windows closed by the *slower* source.
-        let fast: Vec<StreamItem<u32>> = (0..20)
-            .map(|i| StreamItem::new(StratumId(0), EventTime::from_millis(i * 100), 0))
-            .collect();
-        let slow: Vec<StreamItem<u32>> = (0..20)
-            .map(|i| StreamItem::new(StratumId(1), EventTime::from_millis(i * 10), 0))
-            .collect();
-        let out = Flow::source_parallel(vec![fast, slow], 10)
-            .then(1, Exchange::Rebalance, |_| SecondCounter::new())
-            .collect();
-        // All 40 items are counted exactly once across emitted windows.
-        let total: u64 = out.iter().map(|i| i.value.1).sum();
-        assert_eq!(total, 40);
-    }
-
-    #[test]
-    fn forward_exchange_maps_instances() {
-        let out = Flow::source_parallel(vec![items(10), items(10)], 5)
-            .then(2, Exchange::Forward, TagInstance)
-            .collect();
-        // Each source instance feeds exactly one operator instance.
-        let tags: std::collections::BTreeSet<usize> = out.iter().map(|i| i.value.0).collect();
-        assert_eq!(tags.len(), 2);
-        assert_eq!(out.len(), 20);
-    }
-
-    #[test]
-    fn push_source_matches_vector_source() {
-        // The same stream pushed item by item must reach the sink as the
-        // same multiset the vector source delivers.
-        let stream = items(300);
-        let from_vec = Flow::source(stream.clone(), 50)
-            .then(2, Exchange::Rebalance, |_| Identity)
-            .collect();
-        let (push, flow) = Flow::source_push(50);
-        let handle = flow
-            .then(2, Exchange::Rebalance, |_| Identity)
-            .into_handle();
-        for item in stream {
-            push.push(item).expect("pipeline alive");
+        // Two producers feed the counter. Instance 1 holds its first
+        // record until instance 0 has passed its last one, so instance 0's
+        // watermarks run seconds ahead. The counter may only close a
+        // second once the *slower* producer has passed it: every second
+        // is reported once, with all of its items.
+        struct Gate {
+            instance: usize,
+            barrier: Option<Arc<Barrier>>,
         }
-        push.finish();
-        let from_push = handle.drain_to_end();
-        let mut a: Vec<u32> = from_vec.iter().map(|i| i.value).collect();
-        let mut b: Vec<u32> = from_push.iter().map(|i| i.value).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        impl Operator<u32, u32> for Gate {
+            fn on_item(&mut self, item: StreamItem<u32>, out: &mut dyn FnMut(StreamItem<u32>)) {
+                let last_of_instance_0 = self.instance == 0 && item.value == 38;
+                if self.instance == 1 || last_of_instance_0 {
+                    if let Some(barrier) = self.barrier.take() {
+                        barrier.wait();
+                    }
+                }
+                out(item);
+            }
+        }
+        let barrier = Arc::new(Barrier::new(2));
+        let stream: Vec<StreamItem<u32>> = (0..40)
+            .map(|i| StreamItem::new(StratumId(0), EventTime::from_millis(i * 100), i as u32))
+            .collect();
+        let out = run(stream, 100, |f| {
+            f.then(2, move |instance| Gate {
+                instance,
+                barrier: Some(Arc::clone(&barrier)),
+            })
+            .then(1, |_| SecondCounter {
+                counts: BTreeMap::new(),
+            })
+            .into_handle()
+        });
+        let windows: Vec<(i64, u64)> = out.iter().map(|i| i.value).collect();
+        assert_eq!(windows, vec![(0, 10), (1, 10), (2, 10), (3, 10)]);
     }
 
     #[test]
     fn handle_drains_incrementally_before_end() {
         let (push, flow) = Flow::source_push(10);
-        let mut handle = flow.then(1, Exchange::Forward, |_| Identity).into_handle();
+        let mut handle = flow.then(1, |_| Identity).into_handle();
         for item in items(100) {
             push.push(item).expect("pipeline alive");
         }
@@ -711,8 +596,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert!(!early.is_empty(), "no output while the stream is open");
-        assert!(!handle.is_ended());
-        push.finish();
+        drop(push);
         let rest = handle.drain_to_end();
         assert_eq!(early.len() + rest.len(), 100);
     }
@@ -727,7 +611,7 @@ mod tests {
             }
         }
         let (push, flow) = Flow::source_push(10);
-        let _handle = flow.then(1, Exchange::Forward, |_| Exploder).into_handle();
+        let _handle = flow.then(1, |_| Exploder).into_handle();
         let mut got_err = false;
         for i in 0..1_000_000i64 {
             let item = StreamItem::new(StratumId(0), EventTime::from_millis(i), 1u32);
@@ -759,12 +643,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "stage parallelism must be positive")]
     fn zero_parallelism_rejected() {
-        let _ = Flow::source(items(1), 10).then(0, Exchange::Forward, |_| Identity);
+        let (_source, flow) = Flow::source_push(10);
+        let _ = flow.then(0, |_| Identity);
     }
 
     #[test]
     #[should_panic(expected = "watermark interval must be positive")]
     fn zero_watermark_interval_rejected() {
-        let _ = Flow::source(items(1), 0);
+        let _ = Flow::<u32>::source_push(0);
     }
 }

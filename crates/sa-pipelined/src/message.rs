@@ -11,7 +11,7 @@ use sa_types::{EventTime, StreamItem};
 /// channel synchronization over a few records. Watermarks carry event-time
 /// progress; `End` closes a producer's contribution.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Signal<T> {
+pub(crate) enum Signal<T> {
     /// A buffer of data items, in the producer's emission order.
     Items(Vec<StreamItem<T>>),
     /// Every future item from this producer has `time >= watermark`.
@@ -22,7 +22,7 @@ pub enum Signal<T> {
 
 /// A signal tagged with the index of the upstream instance that sent it,
 /// so consumers can align watermarks across their producers.
-pub type Tagged<T> = (usize, Signal<T>);
+pub(crate) type Tagged<T> = (usize, Signal<T>);
 
 #[cfg(test)]
 mod tests {

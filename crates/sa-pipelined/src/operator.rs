@@ -1,4 +1,4 @@
-//! The operator abstraction and the stock stateless operators.
+//! The operator abstraction.
 
 use sa_types::{EventTime, StreamItem};
 
@@ -26,113 +26,23 @@ pub trait Operator<I, O>: Send {
     }
 }
 
-/// A stateless element-wise operator from a closure.
-///
-/// # Example
-///
-/// ```
-/// use sa_pipelined::{Map, Operator};
-/// use sa_types::{StreamItem, StratumId, EventTime};
-///
-/// let mut op = Map::new(|x: u32| x * 2);
-/// let mut seen = Vec::new();
-/// op.on_item(
-///     StreamItem::new(StratumId(0), EventTime::from_millis(0), 21),
-///     &mut |item| seen.push(item.value),
-/// );
-/// assert_eq!(seen, vec![42]);
-/// ```
-#[derive(Debug)]
-pub struct Map<F> {
-    f: F,
-}
-
-impl<F> Map<F> {
-    /// Wraps the mapping function.
-    pub fn new(f: F) -> Self {
-        Map { f }
-    }
-}
-
-impl<I, O, F> Operator<I, O> for Map<F>
-where
-    F: FnMut(I) -> O + Send,
-{
-    fn on_item(&mut self, item: StreamItem<I>, out: &mut dyn FnMut(StreamItem<O>)) {
-        out(item.map(&mut self.f));
-    }
-}
-
-/// A stateless filter operator from a predicate.
-#[derive(Debug)]
-pub struct Filter<F> {
-    pred: F,
-}
-
-impl<F> Filter<F> {
-    /// Wraps the predicate.
-    pub fn new(pred: F) -> Self {
-        Filter { pred }
-    }
-}
-
-impl<T, F> Operator<T, T> for Filter<F>
-where
-    F: FnMut(&StreamItem<T>) -> bool + Send,
-{
-    fn on_item(&mut self, item: StreamItem<T>, out: &mut dyn FnMut(StreamItem<T>)) {
-        if (self.pred)(&item) {
-            out(item);
-        }
-    }
-}
-
-/// The identity operator (used by sinks and tests).
-#[derive(Debug, Default)]
-pub struct Identity;
-
-impl<T> Operator<T, T> for Identity {
-    fn on_item(&mut self, item: StreamItem<T>, out: &mut dyn FnMut(StreamItem<T>)) {
-        out(item);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_types::StratumId;
 
-    fn item(v: i32) -> StreamItem<i32> {
-        StreamItem::new(StratumId(0), EventTime::from_millis(v as i64), v)
-    }
-
-    #[test]
-    fn map_transforms_payload_only() {
-        let mut op = Map::new(|x: i32| x + 1);
-        let mut out = Vec::new();
-        op.on_item(item(1), &mut |i| out.push(i));
-        assert_eq!(out[0].value, 2);
-        assert_eq!(out[0].time, EventTime::from_millis(1));
-    }
-
-    #[test]
-    fn filter_drops_nonmatching() {
-        let mut op = Filter::new(|i: &StreamItem<i32>| i.value % 2 == 0);
-        let mut out = Vec::new();
-        for v in 0..6 {
-            op.on_item(item(v), &mut |i| out.push(i.value));
+    struct Identity;
+    impl Operator<i32, i32> for Identity {
+        fn on_item(&mut self, item: StreamItem<i32>, out: &mut dyn FnMut(StreamItem<i32>)) {
+            out(item);
         }
-        assert_eq!(out, vec![0, 2, 4]);
     }
 
     #[test]
     fn default_hooks_are_noops() {
         let mut op = Identity;
         let mut out: Vec<StreamItem<i32>> = Vec::new();
-        Operator::<i32, i32>::on_watermark(&mut op, EventTime::from_millis(5), &mut |i| {
-            out.push(i)
-        });
-        Operator::<i32, i32>::on_end(&mut op, &mut |i| out.push(i));
+        op.on_watermark(EventTime::from_millis(5), &mut |i| out.push(i));
+        op.on_end(&mut |i| out.push(i));
         assert!(out.is_empty());
     }
 }

@@ -1,9 +1,10 @@
 //! Property-based tests for the pipelined engine: multiset preservation,
-//! routing invariants, and watermark-driven window correctness across
-//! arbitrary stream shapes and topologies.
+//! stage composition, and watermark-driven window correctness across
+//! arbitrary stream shapes and topologies, all on the push-fed path the
+//! `streamapprox` engine uses.
 
 use proptest::prelude::*;
-use sa_pipelined::{Exchange, Flow, Identity, Map, Operator};
+use sa_pipelined::{Flow, FlowHandle, Operator};
 use sa_types::{EventTime, StratumId, StreamItem};
 use std::collections::BTreeMap;
 
@@ -20,32 +21,97 @@ fn stream(values: &[(u32, i64)]) -> Vec<StreamItem<u32>> {
         .collect()
 }
 
+/// Builds a push-fed flow with `build`, pushes `input`, ends it, and
+/// returns everything the sink received.
+fn run<O: Send + 'static>(
+    input: Vec<StreamItem<u32>>,
+    watermark_interval_ms: i64,
+    build: impl FnOnce(Flow<u32>) -> FlowHandle<O>,
+) -> Vec<StreamItem<O>> {
+    let (source, flow) = Flow::source_push(watermark_interval_ms);
+    let sink = build(flow);
+    for item in input {
+        source.push(item).expect("pipeline alive");
+    }
+    drop(source);
+    sink.drain_to_end()
+}
+
+struct Identity;
+impl Operator<u32, u32> for Identity {
+    fn on_item(&mut self, item: StreamItem<u32>, out: &mut dyn FnMut(StreamItem<u32>)) {
+        out(item);
+    }
+}
+
+/// An element-wise operator from a closure.
+struct MapOp<F>(F);
+impl<I, O, F: FnMut(I) -> O + Send> Operator<I, O> for MapOp<F> {
+    fn on_item(&mut self, item: StreamItem<I>, out: &mut dyn FnMut(StreamItem<O>)) {
+        out(item.map(&mut self.0));
+    }
+}
+
+/// A tumbling-window counter: emits `(window index, count)` once the
+/// watermark passes a window's end, and everything left at the final
+/// `EventTime::MAX` watermark.
+struct Counter {
+    window_ms: i64,
+    counts: BTreeMap<i64, u64>,
+}
+
+impl Counter {
+    fn new(window_ms: i64) -> Self {
+        Counter {
+            window_ms,
+            counts: BTreeMap::new(),
+        }
+    }
+}
+
+impl Operator<u32, (i64, u64)> for Counter {
+    fn on_item(&mut self, item: StreamItem<u32>, _out: &mut dyn FnMut(StreamItem<(i64, u64)>)) {
+        let w = item.time.as_millis().div_euclid(self.window_ms);
+        *self.counts.entry(w).or_default() += 1;
+    }
+
+    fn on_watermark(&mut self, wm: EventTime, out: &mut dyn FnMut(StreamItem<(i64, u64)>)) {
+        let due: Vec<i64> = self
+            .counts
+            .keys()
+            .copied()
+            .filter(|w| (w + 1) * self.window_ms <= wm.as_millis() || wm == EventTime::MAX)
+            .collect();
+        for w in due {
+            let c = self.counts.remove(&w).expect("listed");
+            out(StreamItem::new(
+                StratumId(0),
+                EventTime::from_millis(((w + 1) * self.window_ms).min(i64::MAX - 1)),
+                (w, c),
+            ));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Whatever the parallelism and exchange, every item reaches the sink
-    /// exactly once.
+    /// Whatever the parallelism and watermark cadence, every item reaches
+    /// the sink exactly once.
     #[test]
     fn multiset_preserved_through_any_stage(
         values in proptest::collection::vec((0u32..5, 0i64..50), 0..400),
         parallelism in 1usize..5,
-        exchange_sel in 0u8..3,
         wm_interval in 1i64..500,
     ) {
-        let exchange = match exchange_sel {
-            0 => Exchange::Forward,
-            1 => Exchange::Rebalance,
-            _ => Exchange::KeyByStratum,
-        };
         let input = stream(&values);
         let n = input.len();
-        let out = Flow::source(input, wm_interval)
-            .then(parallelism, exchange, |_| Identity)
-            .collect();
+        let out = run(input, wm_interval, |f| f.then(parallelism, |_| Identity).into_handle());
         let mut ids: Vec<u32> = out.iter().map(|i| i.value).collect();
         ids.sort_unstable();
         ids.dedup();
         prop_assert_eq!(ids.len(), n);
+        prop_assert_eq!(out.len(), n);
     }
 
     /// Two chained stages compose like function composition.
@@ -57,41 +123,13 @@ proptest! {
     ) {
         let input = stream(&values);
         let expected: i64 = input.iter().map(|i| (i64::from(i.value) + 7) * 3).sum();
-        let out = Flow::source(input, 100)
-            .then(p1, Exchange::Rebalance, |_| Map::new(|v: u32| i64::from(v) + 7))
-            .then(p2, Exchange::Rebalance, |_| Map::new(|v: i64| v * 3))
-            .collect();
+        let out = run(input, 100, |f| {
+            f.then(p1, |_| MapOp(|v: u32| i64::from(v) + 7))
+                .then(p2, |_| MapOp(|v: i64| v * 3))
+                .into_handle()
+        });
         let got: i64 = out.iter().map(|i| i.value).sum();
         prop_assert_eq!(got, expected);
-    }
-
-    /// KeyByStratum never splits a stratum across instances.
-    #[test]
-    fn key_by_keeps_strata_whole(
-        values in proptest::collection::vec((0u32..5, 0i64..30), 1..300),
-        parallelism in 1usize..5,
-    ) {
-        struct Tag(usize);
-        impl Operator<u32, (usize, u32)> for Tag {
-            fn on_item(
-                &mut self,
-                item: StreamItem<u32>,
-                out: &mut dyn FnMut(StreamItem<(usize, u32)>),
-            ) {
-                let tag = self.0;
-                out(item.map(|v| (tag, v)));
-            }
-        }
-        let out = Flow::source(stream(&values), 50)
-            .then(parallelism, Exchange::KeyByStratum, Tag)
-            .collect();
-        let mut homes: BTreeMap<StratumId, usize> = BTreeMap::new();
-        for item in &out {
-            let (instance, _) = item.value;
-            if let Some(prev) = homes.insert(item.stratum, instance) {
-                prop_assert_eq!(prev, instance, "stratum {} split", item.stratum);
-            }
-        }
     }
 
     /// A tumbling-window counter over the pipeline counts every item
@@ -102,50 +140,11 @@ proptest! {
         wm_interval in 1i64..300,
         window_ms in 1i64..500,
     ) {
-        struct Counter {
-            window_ms: i64,
-            counts: BTreeMap<i64, u64>,
-        }
-        impl Operator<u32, (i64, u64)> for Counter {
-            fn on_item(
-                &mut self,
-                item: StreamItem<u32>,
-                _out: &mut dyn FnMut(StreamItem<(i64, u64)>),
-            ) {
-                let w = item.time.as_millis().div_euclid(self.window_ms);
-                *self.counts.entry(w).or_default() += 1;
-            }
-            fn on_watermark(
-                &mut self,
-                wm: EventTime,
-                out: &mut dyn FnMut(StreamItem<(i64, u64)>),
-            ) {
-                let due: Vec<i64> = self
-                    .counts
-                    .keys()
-                    .copied()
-                    .filter(|w| (w + 1) * self.window_ms <= wm.as_millis()
-                        || wm == EventTime::MAX)
-                    .collect();
-                for w in due {
-                    let c = self.counts.remove(&w).expect("listed");
-                    out(StreamItem::new(
-                        StratumId(0),
-                        EventTime::from_millis(((w + 1) * self.window_ms).min(i64::MAX - 1)),
-                        (w, c),
-                    ));
-                }
-            }
-        }
         let input = stream(&values);
         let n = input.len() as u64;
-        let window_ms_copy = window_ms;
-        let out = Flow::source(input, wm_interval)
-            .then(1, Exchange::Forward, move |_| Counter {
-                window_ms: window_ms_copy,
-                counts: BTreeMap::new(),
-            })
-            .collect();
+        let out = run(input, wm_interval, move |f| {
+            f.then(1, move |_| Counter::new(window_ms)).into_handle()
+        });
         let total: u64 = out.iter().map(|i| i.value.1).sum();
         prop_assert_eq!(total, n);
         // No window reported twice.
@@ -156,28 +155,32 @@ proptest! {
         prop_assert_eq!(windows.len(), len);
     }
 
-    /// Parallel sources merge correctly: the sink sees both streams in
-    /// full, with watermarks aligned on the slower one.
+    /// The engine's shape — push → `then(w)` → `then(1, windowed)` — with
+    /// the windowed stage fed by `w` producers: it may close a window only
+    /// once the minimum watermark across them has passed, so each window
+    /// is reported once, with its exact count.
     #[test]
-    fn parallel_sources_merge(
-        a_len in 0usize..200,
-        b_len in 0usize..200,
+    fn windowed_counts_are_exact_behind_a_parallel_stage(
+        values in proptest::collection::vec((0u32..5, 0i64..40), 1..400),
+        workers in 1usize..5,
+        wm_interval in 1i64..300,
+        window_ms in 1i64..500,
     ) {
-        let a: Vec<StreamItem<u32>> = (0..a_len)
-            .map(|i| StreamItem::new(StratumId(0), EventTime::from_millis(i as i64 * 3), i as u32))
-            .collect();
-        let b: Vec<StreamItem<u32>> = (0..b_len)
-            .map(|i| {
-                StreamItem::new(
-                    StratumId(1),
-                    EventTime::from_millis(i as i64 * 7),
-                    (10_000 + i) as u32,
-                )
-            })
-            .collect();
-        let out = Flow::source_parallel(vec![a, b], 20)
-            .then(2, Exchange::Rebalance, |_| Identity)
-            .collect();
-        prop_assert_eq!(out.len(), a_len + b_len);
+        let input = stream(&values);
+        let mut expected: BTreeMap<i64, u64> = BTreeMap::new();
+        for item in &input {
+            *expected.entry(item.time.as_millis().div_euclid(window_ms)).or_default() += 1;
+        }
+        let out = run(input, wm_interval, move |f| {
+            f.then(workers, |_| Identity)
+                .then(1, move |_| Counter::new(window_ms))
+                .into_handle()
+        });
+        let mut got: BTreeMap<i64, u64> = BTreeMap::new();
+        for item in &out {
+            let (w, c) = item.value;
+            prop_assert!(got.insert(w, c).is_none(), "window {} reported twice", w);
+        }
+        prop_assert_eq!(got, expected);
     }
 }

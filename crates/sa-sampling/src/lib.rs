@@ -16,9 +16,8 @@
 //! * [`scasrs_sample`] — the two-threshold random-sort simple random
 //!   sampling behind Apache Spark's `sample` (Meng, ICML 2013), used as the
 //!   paper's SRS baseline.
-//! * [`sample_by_key`] / [`sample_by_key_exact`] — Spark's stratified
-//!   sampling operators, used as the paper's STS baseline.
-//! * [`BernoulliSampler`] — plain coin-flip sampling.
+//! * [`sample_by_key_exact`] — Spark's exact stratified sampler, used as
+//!   the paper's STS baseline.
 //!
 //! # The mergeable-sampler layer
 //!
@@ -58,14 +57,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bernoulli;
 mod oasrs;
 mod reservoir;
 mod scasrs;
 mod stratified;
 mod wire;
 
-pub use bernoulli::BernoulliSampler;
 pub use oasrs::{OasrsSampler, SizingPolicy};
 pub use reservoir::Reservoir;
 pub use scasrs::{
@@ -73,6 +70,5 @@ pub use scasrs::{
     scasrs_thresholds, ScasrsStats, SCASRS_DELTA,
 };
 pub use stratified::{
-    group_by_stratum, merge_all_stratified, merge_stratified, merge_stratum_samples, sample_by_key,
-    sample_by_key_exact,
+    merge_all_stratified, merge_stratified, merge_stratum_samples, sample_by_key_exact,
 };

@@ -1,69 +1,20 @@
-//! Spark-style stratified sampling — the paper's improved STS baseline
-//! (§4.1.1).
+//! Stratified samples: Spark's exact stratified sampler — the paper's
+//! improved STS baseline (§4.1.1) — and the weighted merges of shard-local
+//! stratified samples.
 //!
-//! Apache Spark offers two stratified samplers over keyed data:
-//!
-//! * `sampleByKey(fractions)` — one pass of per-stratum Bernoulli coin
-//!   flips; the realized per-stratum sample size is random.
-//! * `sampleByKeyExact(fractions)` — draws exactly `⌈f·C_k⌉` items per
-//!   stratum by running ScaSRS within each stratum, which requires knowing
-//!   the stratum counts (a full pass / groupBy) first.
-//!
-//! Both operate on *already grouped* data: in a real Spark job the grouping
-//! is a `groupBy(strata)` shuffle with worker synchronization, which is
-//! exactly the overhead StreamApprox avoids (§4.1). The batched engine in
-//! `sa-batched` wires these functions behind a real hash shuffle so the
+//! Spark's `sampleByKeyExact(fractions)` draws exactly `⌈f·C_k⌉` items per
+//! stratum by running ScaSRS within each stratum, which requires knowing
+//! the stratum counts (a full pass / groupBy) first. It operates on
+//! *already grouped* data: in a real Spark job the grouping is a
+//! `groupBy(strata)` shuffle with worker synchronization, which is exactly
+//! the overhead StreamApprox avoids (§4.1). The batched engine in
+//! `sa-batched` runs it per partition behind a real hash shuffle so the
 //! baseline pays that cost honestly.
 
 use crate::reservoir::weighted_union;
 use crate::scasrs::scasrs_sample;
 use rand::Rng;
 use sa_types::{StratifiedSample, StratumId, StratumSample};
-
-/// Per-stratum Bernoulli sampling (Spark's `sampleByKey`).
-///
-/// Each item of stratum `k` is kept independently with probability
-/// `fraction`; the realized sample size is binomial. Weights generalize to
-/// `C_k / Y_k` (Horvitz–Thompson), see [`StratumSample::weight`].
-///
-/// # Example
-///
-/// ```
-/// use sa_sampling::sample_by_key;
-/// use sa_types::StratumId;
-/// use rand::{rngs::SmallRng, SeedableRng};
-///
-/// let mut rng = SmallRng::seed_from_u64(1);
-/// let groups = vec![(StratumId(0), (0..1000).collect::<Vec<i32>>())];
-/// let sample = sample_by_key(groups, 0.1, &mut rng);
-/// let s0 = sample.stratum(StratumId(0)).unwrap();
-/// assert!(s0.sample_size() > 50 && s0.sample_size() < 150);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `fraction` is outside `(0, 1]`.
-pub fn sample_by_key<T, R: Rng + ?Sized>(
-    groups: Vec<(StratumId, Vec<T>)>,
-    fraction: f64,
-    rng: &mut R,
-) -> StratifiedSample<T> {
-    assert!(
-        fraction > 0.0 && fraction <= 1.0,
-        "sampling fraction must be in (0, 1]"
-    );
-    let mut out = StratifiedSample::new();
-    for (stratum, items) in groups {
-        let population = items.len() as u64;
-        let capacity = ((population as f64 * fraction).ceil() as usize).max(1);
-        let selected: Vec<T> = items
-            .into_iter()
-            .filter(|_| rng.gen::<f64>() < fraction)
-            .collect();
-        out.push(StratumSample::new(stratum, selected, population, capacity));
-    }
-    out
-}
 
 /// Exact per-stratum sampling (Spark's `sampleByKeyExact`): draws exactly
 /// `⌈fraction · C_k⌉` items from each stratum via ScaSRS.
@@ -197,31 +148,6 @@ pub fn merge_all_stratified<T, R: Rng + ?Sized>(
     merged.unwrap_or_else(StratifiedSample::new)
 }
 
-/// Groups a flat keyed batch by stratum, preserving encounter order of
-/// strata. This is the single-machine analogue of `groupBy(strata)`; the
-/// distributed version (with its shuffle) lives in `sa-batched`.
-pub fn group_by_stratum<T>(items: Vec<(StratumId, T)>) -> Vec<(StratumId, Vec<T>)> {
-    let mut order: Vec<StratumId> = Vec::new();
-    let mut buckets: std::collections::HashMap<StratumId, Vec<T>> =
-        std::collections::HashMap::new();
-    for (k, v) in items {
-        buckets
-            .entry(k)
-            .or_insert_with(|| {
-                order.push(k);
-                Vec::new()
-            })
-            .push(v);
-    }
-    order
-        .into_iter()
-        .map(|k| {
-            let v = buckets.remove(&k).expect("bucket exists for seen key");
-            (k, v)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,14 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_sampler_concentrates_around_fraction() {
-        let mut g = rng(3);
-        let sample = sample_by_key(groups(&[(0, 100_000)]), 0.25, &mut g);
-        let y = sample.stratum(StratumId(0)).unwrap().sample_size() as f64;
-        assert!((y - 25_000.0).abs() < 1_000.0, "y = {y}");
-    }
-
-    #[test]
     fn no_stratum_is_dropped() {
         let mut g = rng(4);
         let sample = sample_by_key_exact(groups(&[(0, 10_000), (7, 1)]), 0.1, &mut g);
@@ -292,22 +210,6 @@ mod tests {
         let s0 = sample.stratum(StratumId(0)).unwrap();
         assert_eq!(s0.sample_size(), 57);
         assert_eq!(s0.weight(), 1.0);
-    }
-
-    #[test]
-    fn group_by_stratum_partitions_correctly() {
-        let flat = vec![
-            (StratumId(1), "a"),
-            (StratumId(0), "b"),
-            (StratumId(1), "c"),
-            (StratumId(2), "d"),
-            (StratumId(0), "e"),
-        ];
-        let grouped = group_by_stratum(flat);
-        // Encounter order of strata: 1, 0, 2.
-        assert_eq!(grouped[0], (StratumId(1), vec!["a", "c"]));
-        assert_eq!(grouped[1], (StratumId(0), vec!["b", "e"]));
-        assert_eq!(grouped[2], (StratumId(2), vec!["d"]));
     }
 
     #[test]
@@ -369,25 +271,6 @@ mod tests {
     #[should_panic(expected = "sampling fraction must be in (0, 1]")]
     fn rejects_zero_fraction() {
         let mut g = rng(7);
-        let _ = sample_by_key(groups(&[(0, 10)]), 0.0, &mut g);
-    }
-
-    #[test]
-    fn bernoulli_per_stratum_uniformity() {
-        // Each item must be included with ~the same probability.
-        const TRIALS: usize = 5_000;
-        let mut counts = [0u32; 20];
-        let mut g = rng(8);
-        for _ in 0..TRIALS {
-            let sample = sample_by_key(groups(&[(0, 20)]), 0.4, &mut g);
-            for &x in &sample.stratum(StratumId(0)).unwrap().items {
-                counts[x] += 1;
-            }
-        }
-        let expected = TRIALS as f64 * 0.4;
-        for (x, &c) in counts.iter().enumerate() {
-            let dev = (c as f64 - expected).abs() / expected;
-            assert!(dev < 0.1, "item {x}: count {c} vs expected {expected}");
-        }
+        let _ = sample_by_key_exact(groups(&[(0, 10)]), 0.0, &mut g);
     }
 }

@@ -18,7 +18,6 @@
 
 use crate::oasrs::{OasrsSampler, SizingPolicy, MAX_STRATUM_ID};
 use crate::reservoir::{Jump, Reservoir};
-use crate::scasrs::ScasrsStats;
 use rand::rngs::SmallRng;
 use sa_types::wire::{put_u64_le, put_varint};
 use sa_types::{SaError, StratumId, WireDecode, WireEncode, WireReader};
@@ -266,24 +265,6 @@ impl<V: WireDecode> WireDecode for OasrsSampler<V> {
     }
 }
 
-impl WireEncode for ScasrsStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.accepted_directly.encode(out);
-        self.waitlisted.encode(out);
-        self.rejected_directly.encode(out);
-    }
-}
-
-impl WireDecode for ScasrsStats {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(ScasrsStats {
-            accepted_directly: usize::decode(r)?,
-            waitlisted: usize::decode(r)?,
-            rejected_directly: usize::decode(r)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,16 +389,5 @@ mod tests {
             b.observe(StratumId((i % 6) as u32), rec);
         }
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn scasrs_stats_roundtrip() {
-        let stats = ScasrsStats {
-            accepted_directly: 10,
-            waitlisted: 3,
-            rejected_directly: 99,
-        };
-        let back = ScasrsStats::from_wire_bytes(&stats.to_wire_bytes()).unwrap();
-        assert_eq!(back, stats);
     }
 }

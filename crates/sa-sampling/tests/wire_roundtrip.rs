@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sa_sampling::{OasrsSampler, Reservoir, ScasrsStats, SizingPolicy};
+use sa_sampling::{OasrsSampler, Reservoir, SizingPolicy};
 use sa_types::{StratumId, WireDecode, WireEncode};
 
 /// Builds a reservoir by replaying a history of observe/shrink/grow ops.
@@ -133,20 +133,5 @@ proptest! {
         prop_assert_eq!(&merged_wire, &merged_orig);
         // And the merged samplers still agree after finishing the interval.
         prop_assert_eq!(merged_wire.finish_interval(), merged_orig.finish_interval());
-    }
-
-    /// ScaSRS work counters round-trip and keep merging additively.
-    #[test]
-    fn scasrs_stats_roundtrip_and_merge(
-        a in (0usize..1_000, 0usize..1_000, 0usize..1_000),
-        b in (0usize..1_000, 0usize..1_000, 0usize..1_000),
-    ) {
-        let sa = ScasrsStats { accepted_directly: a.0, waitlisted: a.1, rejected_directly: a.2 };
-        let sb = ScasrsStats { accepted_directly: b.0, waitlisted: b.1, rejected_directly: b.2 };
-        let mut orig = sa;
-        orig.merge(sb);
-        let mut wire = ScasrsStats::from_wire_bytes(&sa.to_wire_bytes()).unwrap();
-        wire.merge(ScasrsStats::from_wire_bytes(&sb.to_wire_bytes()).unwrap());
-        prop_assert_eq!(wire, orig);
     }
 }

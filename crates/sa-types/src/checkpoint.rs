@@ -7,7 +7,7 @@
 //! since the last snapshot, and the [`CheckpointPolicy`] bounds how large
 //! that exposure is allowed to grow. What makes the scheme cheap is the
 //! paper's core observation applied here: everything a session needs to
-//! resume — per-stratum reservoirs, SCaSRS/Welford statistics, the pane
+//! resume — per-stratum reservoirs, Welford statistics, the pane
 //! cursor, the watermark, ingest counters — is mergeable state whose size
 //! is O(sampling budget), not O(stream).
 //!
