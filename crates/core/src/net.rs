@@ -107,7 +107,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sa_estimate::widen_for_shortfall;
 use sa_net::frame::{read_message, write_message};
-use sa_net::{Digest, DigestPayload, Directive, Message, WindowResultMsg};
+use sa_net::{Assignment, Digest, DigestPayload, Heartbeat, Message};
 use sa_types::wire::{WireDecode, WireEncode, WireReader};
 use sa_types::{
     Confidence, EngineSnapshot, EventTime, FaultPolicy, IngestCounters, RunSeed, SaError,
@@ -216,84 +216,12 @@ impl DistributedConfig {
     }
 }
 
-fn directive_to_wire(directive: SizingDirective) -> Directive {
-    match directive {
-        SizingDirective::Fraction(f) => Directive::Fraction(f),
-        SizingDirective::PerStratum(n) => Directive::PerStratum(n),
-        SizingDirective::SharedTotal(n) => Directive::SharedTotal(n),
-        SizingDirective::Everything => Directive::Everything,
-    }
-}
-
-fn directive_from_wire(directive: Directive) -> SizingDirective {
-    match directive {
-        Directive::Fraction(f) => SizingDirective::Fraction(f),
-        Directive::PerStratum(n) => SizingDirective::PerStratum(n),
-        Directive::SharedTotal(n) => SizingDirective::SharedTotal(n),
-        Directive::Everything => SizingDirective::Everything,
-    }
-}
-
-fn result_to_wire(result: &WindowResult) -> WindowResultMsg {
-    WindowResultMsg {
-        window: result.window,
-        sum: result.sum,
-        mean: result.mean,
-        sum_by_stratum: result.sum_by_stratum.clone(),
-        mean_by_stratum: result.mean_by_stratum.clone(),
-        degraded: result.degraded,
-        lost_items: result.lost_items,
-    }
-}
-
-fn result_from_wire(msg: WindowResultMsg) -> WindowResult {
-    WindowResult {
-        window: msg.window,
-        sum: msg.sum,
-        mean: msg.mean,
-        sum_by_stratum: msg.sum_by_stratum,
-        mean_by_stratum: msg.mean_by_stratum,
-        degraded: msg.degraded,
-        lost_items: msg.lost_items,
-    }
-}
-
 /// Total item population a digest accounts for, across all its strata —
 /// the per-shard mass the lost-contribution estimate extrapolates from.
 fn digest_population(digest: &Digest) -> u64 {
     match &digest.payload {
         DigestPayload::Sampled(sample) => sample.iter().map(|s| s.population).sum(),
         DigestPayload::Exact(stats) => stats.iter().map(|s| s.population).sum(),
-    }
-}
-
-/// Everything the coordinator tells each joining worker, identical for
-/// all of them except the confirmed worker id.
-#[derive(Clone, Copy)]
-struct AssignTemplate {
-    num_workers: u32,
-    seed: RunSeed,
-    directive: Directive,
-    pane_interval_ms: i64,
-    expected_pane_items: u64,
-    window: WindowSpec,
-    confidence: Confidence,
-    heartbeat_interval_ms: u64,
-}
-
-impl AssignTemplate {
-    fn for_worker(self, worker: u32) -> Message {
-        Message::HelloAssign {
-            worker,
-            num_workers: self.num_workers,
-            seed: self.seed,
-            directive: self.directive,
-            pane_interval_ms: self.pane_interval_ms,
-            expected_pane_items: self.expected_pane_items,
-            window: self.window,
-            confidence: self.confidence,
-            heartbeat_interval_ms: self.heartbeat_interval_ms,
-        }
     }
 }
 
@@ -358,14 +286,8 @@ enum Event {
         digest: Box<Digest>,
     },
     Heartbeat {
-        worker: u32,
         gen: u32,
-        ingest: IngestCounters,
-        watermark: Option<EventTime>,
-        lag: u64,
-        last_checkpoint_pane: Option<i64>,
-        items_since_checkpoint: u64,
-        snapshot_bytes: u64,
+        heartbeat: Heartbeat,
     },
     /// A sign of life that carries no progress report (a checkpoint
     /// slice was stored).
@@ -431,24 +353,9 @@ fn reader_loop(
                     }
                 }
             }
-            Ok(Some(Message::Heartbeat {
-                worker: w,
-                ingest,
-                watermark,
-                lag,
-                last_checkpoint_pane,
-                items_since_checkpoint,
-                snapshot_bytes,
-            })) if w == worker => Event::Heartbeat {
-                worker,
-                gen,
-                ingest,
-                watermark,
-                lag,
-                last_checkpoint_pane,
-                items_since_checkpoint,
-                snapshot_bytes,
-            },
+            Ok(Some(Message::Heartbeat(heartbeat))) if heartbeat.worker == worker => {
+                Event::Heartbeat { gen, heartbeat }
+            }
             Ok(Some(Message::SnapshotSlice {
                 worker: w,
                 pane,
@@ -493,7 +400,7 @@ fn reader_loop(
 /// nothing else.
 fn handshake(
     mut stream: TcpStream,
-    assign: AssignTemplate,
+    assign: Assignment,
     fault: FaultPolicy,
     table: &Arc<Mutex<SlotTable>>,
     events: &Sender<Event>,
@@ -567,7 +474,8 @@ fn handshake(
         }
         _ => return None,
     };
-    let replied = write_message(&mut stream, &assign.for_worker(worker)).is_ok()
+    let assignment = Message::HelloAssign(Assignment { worker, ..assign });
+    let replied = write_message(&mut stream, &assignment).is_ok()
         && match &handoff {
             Some(snapshot) => write_message(
                 &mut stream,
@@ -618,7 +526,7 @@ fn handshake(
 /// poison-pill connection to unblock `accept`.
 fn acceptor_loop(
     listener: TcpListener,
-    assign: AssignTemplate,
+    assign: Assignment,
     fault: FaultPolicy,
     table: Arc<Mutex<SlotTable>>,
     events: Sender<Event>,
@@ -668,10 +576,9 @@ fn acceptor_loop(
 pub struct DistributedSession {
     addr: SocketAddr,
     events: Receiver<Event>,
-    num_workers: u32,
-    interval_ms: i64,
-    seed: RunSeed,
-    directive: SizingDirective,
+    /// The run configuration every worker is assigned (`worker` is set
+    /// per join).
+    assign: Assignment,
     shard_set: ShardSet<f64>,
     finalizer: WindowFinalizer,
     pending: BTreeMap<i64, BTreeMap<u32, Digest>>,
@@ -710,12 +617,11 @@ impl DistributedSession {
                 "a distributed session needs at least one worker".to_string(),
             ));
         }
-        if let SizingDirective::Fraction(f) = directive {
-            if !(f > 0.0 && f <= 1.0) {
-                return Err(SaError::InvalidConfig(format!(
-                    "sampling fraction {f} outside (0, 1]"
-                )));
-            }
+        if !directive.is_valid() {
+            return Err(SaError::InvalidConfig(format!(
+                "invalid sizing directive {directive:?}: a fraction must be in (0, 1] and a \
+                 budget positive"
+            )));
         }
         let fault = config.fault;
         if fault.heartbeat_interval.is_zero()
@@ -751,10 +657,11 @@ impl DistributedSession {
         // unprojected per-shard samplers.
         let mut shard_set = ShardSet::new(config.workers as usize, config.seed, Arc::new(|v| *v));
         let _ = shard_set.rearm(directive, config.expected_pane_items);
-        let assign = AssignTemplate {
+        let assign = Assignment {
+            worker: 0,
             num_workers: config.workers,
             seed: config.seed,
-            directive: directive_to_wire(directive),
+            directive,
             pane_interval_ms: interval_ms,
             expected_pane_items: config.expected_pane_items as u64,
             window,
@@ -779,10 +686,7 @@ impl DistributedSession {
         Ok(DistributedSession {
             addr,
             events: rx,
-            num_workers: config.workers,
-            interval_ms,
-            seed: config.seed,
-            directive,
+            assign,
             shard_set,
             finalizer: WindowFinalizer::new(window, confidence),
             pending: BTreeMap::new(),
@@ -947,24 +851,9 @@ impl DistributedSession {
                     self.absorb_digest(*digest, gen > 0);
                 }
             }
-            Event::Heartbeat {
-                worker,
-                gen,
-                ingest,
-                watermark,
-                lag,
-                last_checkpoint_pane,
-                items_since_checkpoint,
-                snapshot_bytes,
-            } => {
-                if self.note_alive(worker, gen) {
-                    let peer = self.workers.get_mut(&worker).expect("noted alive");
-                    peer.status.ingest = ingest;
-                    peer.status.watermark = watermark.max(peer.status.watermark);
-                    peer.status.lag = lag;
-                    peer.status.last_checkpoint_pane = last_checkpoint_pane;
-                    peer.status.items_since_checkpoint = items_since_checkpoint;
-                    peer.status.snapshot_bytes = snapshot_bytes;
+            Event::Heartbeat { gen, heartbeat } => {
+                if self.note_alive(heartbeat.worker, gen) {
+                    self.record_progress(heartbeat);
                 }
             }
             Event::Alive { worker, gen } => {
@@ -993,30 +882,48 @@ impl DistributedSession {
         }
     }
 
+    /// Writes a worker's latest progress report onto its status; the
+    /// watermark never moves back.
+    fn record_progress(&mut self, report: Heartbeat) {
+        if let Some(peer) = self.workers.get_mut(&report.worker) {
+            let status = &mut peer.status;
+            status.ingest = report.ingest;
+            status.watermark = report.watermark.max(status.watermark);
+            status.lag = report.lag;
+            status.last_checkpoint_pane = report.last_checkpoint_pane;
+            status.items_since_checkpoint = report.items_since_checkpoint;
+            status.snapshot_bytes = report.snapshot_bytes;
+        }
+    }
+
     fn absorb_digest(&mut self, digest: Digest, respawned: bool) {
         let start = digest.pane.start.as_millis();
         let end = digest.pane.end.as_millis();
-        if start.rem_euclid(self.interval_ms) != 0 || end != start + self.interval_ms {
+        if start.rem_euclid(self.assign.pane_interval_ms) != 0
+            || end != start + self.assign.pane_interval_ms
+        {
             return self.fail(SaError::Wire(format!(
                 "digest pane {} is not a {}ms pane",
-                digest.pane, self.interval_ms
+                digest.pane, self.assign.pane_interval_ms
             )));
         }
-        let exact = self.directive == SizingDirective::Everything;
+        let exact = self.assign.directive == SizingDirective::Everything;
         if exact != matches!(digest.payload, DigestPayload::Exact(_)) {
             return self.fail(SaError::Wire(format!(
                 "worker {} digest payload does not match the run directive",
                 digest.worker
             )));
         }
-        if let Some(peer) = self.workers.get_mut(&digest.worker) {
-            peer.status.ingest = digest.counters;
-            peer.status.watermark = digest.watermark.max(peer.status.watermark);
-            peer.status.lag = digest.lag;
-            peer.status.last_checkpoint_pane = digest.last_checkpoint_pane;
-            peer.status.items_since_checkpoint = digest.items_since_checkpoint;
-            peer.status.snapshot_bytes = digest.snapshot_bytes;
-        }
+        // A digest carries the same progress report a heartbeat does.
+        self.record_progress(Heartbeat {
+            worker: digest.worker,
+            ingest: digest.counters,
+            watermark: digest.watermark,
+            lag: digest.lag,
+            last_checkpoint_pane: digest.last_checkpoint_pane,
+            items_since_checkpoint: digest.items_since_checkpoint,
+            snapshot_bytes: digest.snapshot_bytes,
+        });
         if let Some(merged) = self.merged_watermark {
             if start < merged.as_millis() {
                 // The pane was already merged — by straggler timeout or a
@@ -1055,9 +962,9 @@ impl DistributedSession {
     /// hold panes back — their replacement may yet refill them — until
     /// the pane's own timeout forces a degraded merge.
     fn pane_ready(&self, start: i64) -> bool {
-        let end = start + self.interval_ms;
+        let end = start + self.assign.pane_interval_ms;
         let digests = self.pending.get(&start);
-        (0..self.num_workers).all(|w| {
+        (0..self.assign.num_workers).all(|w| {
             let Some(peer) = self.workers.get(&w) else {
                 return false; // not yet joined
             };
@@ -1094,15 +1001,15 @@ impl DistributedSession {
     }
 
     fn merge_pane(&mut self, start: i64) {
-        let end = start + self.interval_ms;
+        let end = start + self.assign.pane_interval_ms;
         self.pending_since.remove(&start);
         let mut digests = self.pending.remove(&start).unwrap_or_default();
-        let exact = self.directive == SizingDirective::Everything;
+        let exact = self.assign.directive == SizingDirective::Everything;
         // Workers with no digest and no excuse (clean shutdown, watermark
         // past the pane) are the degraded merge's missing shards. On the
         // healthy path this is empty and the merge below is bit-identical
         // to the in-process shard merge.
-        let missing: Vec<u32> = (0..self.num_workers)
+        let missing: Vec<u32> = (0..self.assign.num_workers)
             .filter(|w| {
                 let excused = match self.workers.get(w) {
                     None => false,
@@ -1132,7 +1039,7 @@ impl DistributedSession {
         // A worker with no digest for a ready pane skipped it over a quiet
         // gap; its contribution is the same empty close an idle in-process
         // shard would have produced.
-        let panes: Vec<WorkerPane<f64>> = (0..self.num_workers)
+        let panes: Vec<WorkerPane<f64>> = (0..self.assign.num_workers)
             .map(|w| match digests.remove(&w).map(|d| d.payload) {
                 Some(DigestPayload::Sampled(sample)) => WorkerPane::Sampled(sample),
                 Some(DigestPayload::Exact(stats)) => WorkerPane::Exact(stats),
@@ -1140,7 +1047,7 @@ impl DistributedSession {
                 None => WorkerPane::Sampled(StratifiedSample::new()),
             })
             .collect();
-        let mut rng = SmallRng::seed_from_u64(pane_merge_seed(self.seed, start));
+        let mut rng = SmallRng::seed_from_u64(pane_merge_seed(self.assign.seed, start));
         let mut payload = self.shard_set.merge_panes(panes, &mut rng);
         self.aggregated += payload.sampled();
         if !missing.is_empty() {
@@ -1173,9 +1080,9 @@ impl DistributedSession {
         self.completed += done.len() as u64;
         for peer in self.workers.values_mut() {
             if let Some(stream) = &mut peer.results {
-                let delivered = done.iter().all(|w| {
-                    write_message(stream, &Message::WindowResult(result_to_wire(w))).is_ok()
-                });
+                let delivered = done
+                    .iter()
+                    .all(|w| write_message(stream, &Message::WindowResult(w.clone())).is_ok());
                 if !delivered {
                     // A subscriber that went away only loses its copy; the
                     // run's results live on the coordinator.
@@ -1241,7 +1148,7 @@ impl DistributedSession {
     /// Every shard's stream is over: its worker shut down cleanly, or
     /// the shard was retired after its fault windows elapsed.
     fn all_done(&self) -> bool {
-        (0..self.num_workers).all(|w| {
+        (0..self.assign.num_workers).all(|w| {
             self.workers
                 .get(&w)
                 .is_some_and(|p| p.done || p.status.health == WorkerHealth::Retired)
@@ -1316,7 +1223,7 @@ impl std::fmt::Debug for DistributedSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DistributedSession")
             .field("addr", &self.addr)
-            .field("num_workers", &self.num_workers)
+            .field("num_workers", &self.assign.num_workers)
             .field("joined", &self.workers.len())
             .field("windows_completed", &self.completed)
             .field("degraded_panes", &self.degraded_panes)
@@ -1386,7 +1293,7 @@ impl WorkerShared {
             NO_TIME => None,
             p => Some(p),
         };
-        Message::Heartbeat {
+        Message::Heartbeat(Heartbeat {
             worker: self.worker,
             ingest: IngestCounters {
                 ingested,
@@ -1398,7 +1305,7 @@ impl WorkerShared {
             items_since_checkpoint: ingested
                 .saturating_sub(self.items_at_checkpoint.load(Ordering::Relaxed)),
             snapshot_bytes: self.snapshot_bytes.load(Ordering::Relaxed),
-        }
+        })
     }
 }
 
@@ -1480,48 +1387,14 @@ struct DigestSink<R> {
     snapshot_bytes: u64,
 }
 
-/// The run configuration a coordinator hands a joining worker.
-struct Assignment {
-    worker: u32,
-    num_workers: u32,
-    seed: RunSeed,
-    directive: Directive,
-    pane_interval_ms: i64,
-    expected_pane_items: u64,
-    window: WindowSpec,
-    heartbeat_interval_ms: u64,
-}
-
 fn read_assignment(stream: &mut TcpStream) -> Result<Assignment, SaError> {
-    let Some(reply) = read_message(stream)? else {
-        return Err(SaError::Disconnected("coordinator hung up mid-handshake"));
-    };
-    let Message::HelloAssign {
-        worker,
-        num_workers,
-        seed,
-        directive,
-        pane_interval_ms,
-        expected_pane_items,
-        window,
-        confidence: _,
-        heartbeat_interval_ms,
-    } = reply
-    else {
-        return Err(SaError::Wire(
+    match read_message(stream)? {
+        Some(Message::HelloAssign(assignment)) => Ok(assignment),
+        Some(_) => Err(SaError::Wire(
             "coordinator did not answer the join with an assignment".to_string(),
-        ));
-    };
-    Ok(Assignment {
-        worker,
-        num_workers,
-        seed,
-        directive,
-        pane_interval_ms,
-        expected_pane_items,
-        window,
-        heartbeat_interval_ms,
-    })
+        )),
+        None => Err(SaError::Disconnected("coordinator hung up mid-handshake")),
+    }
 }
 
 fn assemble_engine<R>(
@@ -1538,7 +1411,7 @@ fn assemble_engine<R>(
     // the coordinator's merge sees the same per-shard state a
     // single-process sharded run would.
     let sizing = sampler_sizing(
-        directive_from_wire(assignment.directive),
+        assignment.directive,
         assignment.expected_pane_items as usize,
         assignment.num_workers as usize,
     );
@@ -1903,7 +1776,7 @@ impl<R> Engine<R> for DigestEngine<R> {
                 let _ = this.reader.set_read_timeout(Some(Duration::from_secs(30)));
                 while let Ok(Some(msg)) = read_message(&mut this.reader) {
                     if let Message::WindowResult(result) = msg {
-                        windows.push(result_from_wire(result));
+                        windows.push(result);
                     }
                 }
             }
@@ -1949,7 +1822,7 @@ impl<R> std::fmt::Debug for DigestEngine<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::FixedPerStratum;
+    use crate::cost::{CostPolicy, FixedFraction, FixedPerStratum};
     use crate::query::Query;
     use crate::session::StreamApprox;
     use sa_types::StratumId;
@@ -1965,6 +1838,27 @@ mod tests {
             .distributed(DistributedConfig::new(0))
             .unwrap_err();
         assert!(matches!(err, SaError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn invalid_directives_rejected_at_start() {
+        struct Fixed(SizingDirective);
+        impl CostPolicy for Fixed {
+            fn interval_sizing(&mut self) -> SizingDirective {
+                self.0
+            }
+        }
+        let policies: [Box<dyn CostPolicy>; 3] = [
+            Box::new(FixedPerStratum(0)),
+            Box::new(Fixed(SizingDirective::SharedTotal(0))),
+            Box::new(FixedFraction(f64::NAN)),
+        ];
+        for policy in policies {
+            let err = StreamApprox::new(query(), policy)
+                .distributed(DistributedConfig::new(1))
+                .unwrap_err();
+            assert!(matches!(err, SaError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]
@@ -1984,18 +1878,6 @@ mod tests {
         // Port 1 on loopback is essentially never listening.
         let err = connect_worker("127.0.0.1:1", 0, false, |v: &f64| *v).unwrap_err();
         assert!(matches!(err, SaError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn directive_conversion_roundtrips() {
-        for d in [
-            SizingDirective::Fraction(0.25),
-            SizingDirective::PerStratum(7),
-            SizingDirective::SharedTotal(64),
-            SizingDirective::Everything,
-        ] {
-            assert_eq!(directive_from_wire(directive_to_wire(d)), d);
-        }
     }
 
     #[test]

@@ -1,57 +1,8 @@
 //! Run outputs: per-window approximate answers plus run-level metrics.
 
-use sa_types::{ApproxResult, StratumId, Window};
-use serde::{Deserialize, Serialize};
+use sa_types::Window;
+pub use sa_types::WindowResult;
 use std::time::Duration;
-
-/// Every aggregate the evaluation queries, for one completed sliding
-/// window, each in the paper's `output ± error bound` form (§3.1).
-///
-/// All four aggregates are computed for every window — they share the same
-/// per-stratum sufficient statistics, so the extra cost is a handful of
-/// float operations per stratum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WindowResult {
-    /// The completed window.
-    pub window: Window,
-    /// Approximate sum of all item values in the window (Equations 2–3).
-    pub sum: ApproxResult,
-    /// Approximate mean of all item values (Equation 4).
-    pub mean: ApproxResult,
-    /// Per-sub-stream sums — the network-monitoring query (§6.2).
-    pub sum_by_stratum: Vec<(StratumId, ApproxResult)>,
-    /// Per-sub-stream means — the taxi query (§6.3).
-    pub mean_by_stratum: Vec<(StratumId, ApproxResult)>,
-    /// `true` if any pane of this window merged without a dead or
-    /// straggling shard's digest. The estimates above already account for
-    /// the loss: populations were inflated by the estimated shortfall, so
-    /// the error bounds are *wider* than a healthy window's, never
-    /// silently narrower.
-    #[serde(default)]
-    pub degraded: bool,
-    /// Estimated items lost to missing shards across this window's panes
-    /// (0 for healthy windows).
-    #[serde(default)]
-    pub lost_items: u64,
-}
-
-impl WindowResult {
-    /// Looks up one stratum's sum estimate.
-    pub fn stratum_sum(&self, id: StratumId) -> Option<&ApproxResult> {
-        self.sum_by_stratum
-            .iter()
-            .find(|(s, _)| *s == id)
-            .map(|(_, r)| r)
-    }
-
-    /// Looks up one stratum's mean estimate.
-    pub fn stratum_mean(&self, id: StratumId) -> Option<&ApproxResult> {
-        self.mean_by_stratum
-            .iter()
-            .find(|(s, _)| *s == id)
-            .map(|(_, r)| r)
-    }
-}
 
 /// The result of driving one system over one recorded stream: completed
 /// windows plus the throughput/latency bookkeeping the evaluation plots.
@@ -99,7 +50,7 @@ impl RunOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_types::{ApproxResult, Confidence, ErrorBound, EventTime};
+    use sa_types::{ApproxResult, Confidence, ErrorBound, EventTime, StratumId};
 
     fn result(v: f64) -> ApproxResult {
         ApproxResult::new(v, ErrorBound::new(1.0, Confidence::P95), 1, 2)

@@ -41,10 +41,7 @@
 //! `batched`, the ring fabric in `sharded`, the wire in `net`, operator
 //! pipelines and exchanges in `pipelined`.
 
-use crate::checkpoint::{
-    decode_directive, decode_pane_payload, decode_window_result, encode_directive,
-    encode_pane_payload, encode_window_result, RecordCodec,
-};
+use crate::checkpoint::{decode_pane_payload, encode_pane_payload, RecordCodec};
 use crate::combine::{combine_panes, PanePayload};
 use crate::cost::{CostPolicy, IntervalFeedback, PolicyHandle, SizingDirective};
 use crate::output::{RunOutput, WindowResult};
@@ -885,10 +882,7 @@ impl WindowFinalizer {
                 encode_pane_payload(p, out);
             }
         }
-        put_varint(out, self.completed.len() as u64);
-        for w in &self.completed {
-            encode_window_result(w, out);
-        }
+        self.completed.encode(out);
         put_varint(out, self.degraded_panes.len() as u64);
         for (&start, &lost) in &self.degraded_panes {
             start.encode(out);
@@ -920,12 +914,7 @@ impl WindowFinalizer {
             }
         }
         self.windower.restore_state(panes, watermark);
-        let count = r.read_len()?;
-        let mut completed = Vec::with_capacity(count);
-        for _ in 0..count {
-            completed.push(decode_window_result(r)?);
-        }
-        self.completed = completed;
+        self.completed = Vec::decode(r)?;
         let count = r.read_len()?;
         let mut degraded = BTreeMap::new();
         for _ in 0..count {
@@ -1111,7 +1100,7 @@ impl<'p, R> ApproxRuntime<'p, R> {
             None => 0u8.encode(out),
             Some(pool) => {
                 1u8.encode(out);
-                encode_directive(&pool.directive, out);
+                pool.directive.encode(out);
                 put_varint(out, pool.samplers.len() as u64);
                 for s in &pool.samplers {
                     s.encode_state_with(out, &mut |v, out| (codec.encode)(v, out));
@@ -1136,7 +1125,7 @@ impl<'p, R> ApproxRuntime<'p, R> {
         self.pool = match u8::decode(r)? {
             0 => None,
             1 => {
-                let directive = decode_directive(r)?;
+                let directive = SizingDirective::decode(r)?;
                 let n = r.read_len()?;
                 let mut samplers = Vec::with_capacity(n);
                 for _ in 0..n {

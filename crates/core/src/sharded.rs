@@ -57,11 +57,9 @@
 //! holds that oracle); with many shards the answers agree statistically,
 //! within the estimators' confidence bounds.
 
-use crate::checkpoint::{
-    decode_directive, encode_directive, require_codec, require_engine, RecordCodec,
-};
+use crate::checkpoint::{require_codec, require_engine, RecordCodec};
 use crate::combine::PanePayload;
-use crate::cost::PolicyHandle;
+use crate::cost::{PolicyHandle, SizingDirective};
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
@@ -768,13 +766,7 @@ where
         sink.pane_open.encode(&mut state);
         sink.counters.encode(&mut state);
         sink.counter_base.encode(&mut state);
-        match sink.shard_set.directive() {
-            None => 0u8.encode(&mut state),
-            Some(directive) => {
-                1u8.encode(&mut state);
-                encode_directive(&directive, &mut state);
-            }
-        }
+        sink.shard_set.directive().encode(&mut state);
         for blob in &slots {
             state.extend_from_slice(blob.as_deref().expect("every slot collected"));
         }
@@ -808,11 +800,7 @@ where
                 sink.counters.len()
             )));
         }
-        let directive = match u8::decode(&mut r)? {
-            0 => None,
-            1 => Some(decode_directive(&mut r)?),
-            tag => return Err(SaError::Wire(format!("unknown directive tag {tag}"))),
-        };
+        let directive = Option::<SizingDirective>::decode(&mut r)?;
         // Force the armed directive so the next `ensure_armed` compares
         // against what the restored workers are actually running, instead
         // of rearming fresh ones over them.

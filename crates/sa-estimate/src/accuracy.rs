@@ -6,7 +6,6 @@
 //! error bound exceeds the target (§4.2.1). Both live here.
 
 use crate::stats::StratumStats;
-use serde::{Deserialize, Serialize};
 
 /// The paper's accuracy-loss metric: `|approx − exact| / |exact|` (§6.1).
 ///
@@ -69,7 +68,7 @@ pub fn mean_accuracy_loss(pairs: &[(f64, f64)]) -> f64 {
 /// let smaller = ctl.update(bigger, 0.0001);
 /// assert!(smaller < bigger);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveController {
     target_relative_error: f64,
     min_capacity: usize,

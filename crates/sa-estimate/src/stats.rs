@@ -6,7 +6,6 @@ use sa_types::wire::put_varint;
 use sa_types::{
     SaError, StratifiedSample, StratumId, StratumSample, WireDecode, WireEncode, WireReader,
 };
-use serde::{Deserialize, Serialize};
 
 /// The sufficient statistics of one stratum's sample: the arrival counter
 /// `C_i`, and a [`Welford`] accumulator over the `Y_i` sampled values giving
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Everything the sum/mean estimators (Equations 2–9) need is here, so
 /// engines can ship these small structs between panes and workers instead
 /// of the sampled items themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StratumStats {
     /// Which sub-stream the statistics describe.
     pub stratum: StratumId,

@@ -6,7 +6,6 @@
 
 use sa_types::wire::put_varint;
 use sa_types::{SaError, WireDecode, WireEncode, WireReader};
-use serde::{Deserialize, Serialize};
 
 /// A streaming accumulator for count, mean and unbiased sample variance.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// // Unbiased sample variance of the classic example is 32/7.
 /// assert!((acc.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Welford {
     count: u64,
     mean: f64,

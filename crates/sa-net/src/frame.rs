@@ -34,7 +34,11 @@ pub const MAGIC: [u8; 2] = *b"SA";
 /// Version 2: `HelloAssign` carries the heartbeat cadence, window results
 /// carry degraded-merge accounting, and the rejoin/handoff messages
 /// (`HelloRejoin`, `Reassign`, `SnapshotSlice`) exist.
-pub const WIRE_VERSION: u8 = 2;
+///
+/// Version 3: `HelloAssign`'s sizing directive uses the snapshot codec's
+/// tag table (1 `Fraction`, 2 `PerStratum`, 3 `SharedTotal`,
+/// 4 `Everything`; version 2 numbered them 0–3). Nothing else moved.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Upper bound on a frame's payload length, checked before allocation.
 ///
@@ -141,6 +145,7 @@ pub fn read_message<R: Read>(r: &mut R) -> Result<Option<Message>, SaError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Heartbeat;
 
     fn shutdown_frame() -> Vec<u8> {
         let mut wire = Vec::new();
@@ -273,7 +278,7 @@ mod tests {
                 worker: 1,
                 wants_results: true,
             },
-            Message::Heartbeat {
+            Message::Heartbeat(Heartbeat {
                 worker: 1,
                 ingest: Default::default(),
                 watermark: None,
@@ -281,7 +286,7 @@ mod tests {
                 last_checkpoint_pane: None,
                 items_since_checkpoint: 0,
                 snapshot_bytes: 0,
-            },
+            }),
             Message::Shutdown { worker: 1 },
         ];
         for m in &msgs {

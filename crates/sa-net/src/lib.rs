@@ -7,20 +7,23 @@
 //! with no dependencies beyond `std`:
 //!
 //! * [`Message`] — the protocol: workers join ([`Message::HelloJoin`]),
-//!   the coordinator assigns shard ranges and run parameters
-//!   ([`Message::HelloAssign`]), workers ship one digest per closed pane
-//!   ([`Message::PaneDigest`]) plus liveness [`Message::Heartbeat`]s, and
-//!   the coordinator optionally streams finalized
-//!   [`Message::WindowResult`]s back.
+//!   the coordinator assigns each its shard and the run parameters (an
+//!   [`Assignment`] in [`Message::HelloAssign`]), workers ship one
+//!   [`Digest`] per closed pane ([`Message::PaneDigest`]) plus liveness
+//!   [`Heartbeat`]s, and the coordinator optionally streams finalized
+//!   windows back ([`Message::WindowResult`]).
 //! * [`frame`] — length-prefixed framing over any `Read`/`Write` pair
 //!   (in practice `std::net::TcpStream`): a 2-byte magic, a version byte
 //!   and a 32-bit length, with the length bounded *before* any allocation
 //!   so a hostile peer cannot OOM the receiver.
 //!
 //! Payload encoding is the [`sa_types::wire`] format shared with the
-//! samplers; everything decodes back bit-identical, which is what lets a
-//! coordinator merge shipped digests exactly as if the worker samplers
-//! were local (see the `streamapprox` crate's distributed tier).
+//! samplers and snapshots; everything decodes back bit-identical, which is
+//! what lets a coordinator merge shipped digests exactly as if the worker
+//! samplers were local (see the `streamapprox` crate's distributed tier).
+//! The run's [`sa_types::SizingDirective`] and the finalized
+//! [`sa_types::WindowResult`] cross the wire as themselves, through the
+//! one codec each has in `sa-types`.
 //!
 //! Every decode path returns a typed [`sa_types::SaError`] — truncated
 //! frames, wrong versions, unknown tags and invariant-violating payloads
@@ -48,5 +51,5 @@ mod message;
 pub mod snapshot;
 
 pub use frame::{MAX_FRAME, WIRE_VERSION};
-pub use message::{Digest, DigestPayload, Directive, Message, WindowResultMsg};
+pub use message::{Assignment, Digest, DigestPayload, Heartbeat, Message};
 pub use snapshot::{open_snapshot, seal_snapshot, MAX_SNAPSHOT, SNAPSHOT_VERSION};

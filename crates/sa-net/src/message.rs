@@ -3,63 +3,125 @@
 use sa_estimate::StratumStats;
 use sa_types::wire::put_varint;
 use sa_types::{
-    ApproxResult, Confidence, EventTime, IngestCounters, RunSeed, SaError, StratifiedSample,
-    StratumId, Window, WindowSpec, WireDecode, WireEncode, WireReader,
+    Confidence, EventTime, IngestCounters, RunSeed, SaError, SizingDirective, StratifiedSample,
+    Window, WindowResult, WindowSpec, WireDecode, WireEncode, WireReader,
 };
 
-/// The sampling directive a coordinator assigns to its workers — a
-/// network-serializable mirror of the `streamapprox` crate's sizing
-/// directive (which this crate cannot depend on without a cycle).
+/// The run configuration a coordinator assigns to a joining worker in
+/// [`Message::HelloAssign`]: every parameter of the run, so worker binaries
+/// need no configuration beyond an address and a worker id.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Directive {
-    /// Keep a fraction of the previous interval's volume, adapted each pane.
-    Fraction(f64),
-    /// A fixed reservoir per stratum.
-    PerStratum(usize),
-    /// A total budget shared across strata.
-    SharedTotal(usize),
-    /// No sampling: exact per-stratum statistics.
-    Everything,
+pub struct Assignment {
+    /// The worker id this assignment confirms.
+    pub worker: u32,
+    /// Total number of workers in the run (the shard count).
+    pub num_workers: u32,
+    /// The run seed; the worker derives its shard-local seed from it.
+    pub seed: RunSeed,
+    /// The sampling directive every worker runs under.
+    pub directive: SizingDirective,
+    /// Pane length in milliseconds (the slide of the window spec).
+    pub pane_interval_ms: i64,
+    /// Expected items per pane across all workers (sizes reservoirs).
+    pub expected_pane_items: u64,
+    /// The window specification windows are finalized under.
+    pub window: WindowSpec,
+    /// The confidence level of the emitted error bounds.
+    pub confidence: Confidence,
+    /// Cadence (ms) at which the worker's automatic heartbeat thread
+    /// reports liveness; 0 disables automatic heartbeats.
+    pub heartbeat_interval_ms: u64,
 }
 
-impl WireEncode for Directive {
+impl WireEncode for Assignment {
     fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            Directive::Fraction(f) => {
-                out.push(0);
-                f.encode(out);
-            }
-            Directive::PerStratum(n) => {
-                out.push(1);
-                n.encode(out);
-            }
-            Directive::SharedTotal(n) => {
-                out.push(2);
-                n.encode(out);
-            }
-            Directive::Everything => out.push(3),
-        }
+        self.worker.encode(out);
+        self.num_workers.encode(out);
+        self.seed.encode(out);
+        self.directive.encode(out);
+        self.pane_interval_ms.encode(out);
+        self.expected_pane_items.encode(out);
+        self.window.encode(out);
+        self.confidence.encode(out);
+        put_varint(out, self.heartbeat_interval_ms);
     }
 }
 
-impl WireDecode for Directive {
+impl WireDecode for Assignment {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        let directive = match r.read_u8()? {
-            0 => Directive::Fraction(r.read_f64()?),
-            1 => Directive::PerStratum(usize::decode(r)?),
-            2 => Directive::SharedTotal(usize::decode(r)?),
-            3 => Directive::Everything,
-            t => return Err(SaError::Wire(format!("unknown directive tag {t}"))),
+        let a = Assignment {
+            worker: u32::decode(r)?,
+            num_workers: u32::decode(r)?,
+            seed: RunSeed::decode(r)?,
+            directive: SizingDirective::decode(r)?,
+            pane_interval_ms: i64::decode(r)?,
+            expected_pane_items: u64::decode(r)?,
+            window: WindowSpec::decode(r)?,
+            confidence: Confidence::decode(r)?,
+            heartbeat_interval_ms: r.read_varint()?,
         };
-        let valid = match directive {
-            Directive::Fraction(f) => f > 0.0 && f <= 1.0,
-            Directive::PerStratum(n) | Directive::SharedTotal(n) => n > 0,
-            Directive::Everything => true,
-        };
-        if !valid {
-            return Err(SaError::Wire(format!("invalid directive {directive:?}")));
+        if a.num_workers == 0 {
+            return Err(SaError::Wire("assignment with zero workers".to_string()));
         }
-        Ok(directive)
+        if a.worker >= a.num_workers {
+            return Err(SaError::Wire(format!(
+                "assigned worker {} outside 0..{}",
+                a.worker, a.num_workers
+            )));
+        }
+        if a.pane_interval_ms <= 0 {
+            return Err(SaError::Wire(format!(
+                "non-positive pane interval {}",
+                a.pane_interval_ms
+            )));
+        }
+        Ok(a)
+    }
+}
+
+/// A worker's liveness and progress report, sent while no pane is closing
+/// (a [`Digest`] carries the same progress fields with each closed pane).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Heartbeat {
+    /// The reporting worker's id.
+    pub worker: u32,
+    /// The worker's running ingest totals.
+    pub ingest: IngestCounters,
+    /// The worker's event-time watermark; `None` before its first item.
+    pub watermark: Option<EventTime>,
+    /// Outstanding items between the worker and its source.
+    pub lag: u64,
+    /// The pane start (ms) of the worker's last checkpoint, if any.
+    pub last_checkpoint_pane: Option<i64>,
+    /// Items the worker ingested since its last checkpoint.
+    pub items_since_checkpoint: u64,
+    /// Encoded size of the worker's last snapshot in bytes.
+    pub snapshot_bytes: u64,
+}
+
+impl WireEncode for Heartbeat {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.worker.encode(out);
+        self.ingest.encode(out);
+        self.watermark.encode(out);
+        put_varint(out, self.lag);
+        self.last_checkpoint_pane.encode(out);
+        put_varint(out, self.items_since_checkpoint);
+        put_varint(out, self.snapshot_bytes);
+    }
+}
+
+impl WireDecode for Heartbeat {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
+        Ok(Heartbeat {
+            worker: u32::decode(r)?,
+            ingest: IngestCounters::decode(r)?,
+            watermark: Option::<EventTime>::decode(r)?,
+            lag: r.read_varint()?,
+            last_checkpoint_pane: Option::<i64>::decode(r)?,
+            items_since_checkpoint: r.read_varint()?,
+            snapshot_bytes: r.read_varint()?,
+        })
     }
 }
 
@@ -165,69 +227,21 @@ impl WireDecode for Digest {
     }
 }
 
-/// A finalized window estimate, streamed back to workers that asked for
-/// results — a network-serializable mirror of the `streamapprox` crate's
-/// `WindowResult` built only from `sa-types` vocabulary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowResultMsg {
-    /// The window of event time the result covers.
-    pub window: Window,
-    /// The estimated sum with its error bound.
-    pub sum: ApproxResult,
-    /// The estimated mean with its error bound.
-    pub mean: ApproxResult,
-    /// Per-stratum sum estimates, in stratum order.
-    pub sum_by_stratum: Vec<(StratumId, ApproxResult)>,
-    /// Per-stratum mean estimates, in stratum order.
-    pub mean_by_stratum: Vec<(StratumId, ApproxResult)>,
-    /// `true` if any pane of this window merged without a dead shard's
-    /// digest; its error bounds are already widened by the lost mass.
-    pub degraded: bool,
-    /// Estimated items lost to missing shards across this window's panes.
-    pub lost_items: u64,
-}
-
-impl WireEncode for WindowResultMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.window.encode(out);
-        self.sum.encode(out);
-        self.mean.encode(out);
-        self.sum_by_stratum.encode(out);
-        self.mean_by_stratum.encode(out);
-        self.degraded.encode(out);
-        put_varint(out, self.lost_items);
-    }
-}
-
-impl WireDecode for WindowResultMsg {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(WindowResultMsg {
-            window: Window::decode(r)?,
-            sum: ApproxResult::decode(r)?,
-            mean: ApproxResult::decode(r)?,
-            sum_by_stratum: Vec::decode(r)?,
-            mean_by_stratum: Vec::decode(r)?,
-            degraded: bool::decode(r)?,
-            lost_items: r.read_varint()?,
-        })
-    }
-}
-
 /// A protocol message, as it crosses a [`frame`](crate::frame)d transport.
 ///
 /// The handshake is coordinator-driven: a worker connects and sends
 /// [`Message::HelloJoin`]; the coordinator replies with
-/// [`Message::HelloAssign`], which carries *every* run parameter — seed,
-/// sampling directive, pane interval, window specification and confidence
-/// level — so worker binaries need no configuration beyond an address and
-/// a worker id. After that, the worker ships one [`Message::PaneDigest`]
-/// per closed pane, interleaves [`Message::Heartbeat`]s while idle (an
-/// automatic heartbeat thread on the worker when the assignment carries a
-/// non-zero `heartbeat_interval_ms`), and says [`Message::Shutdown`]
-/// before closing its end. A socket that closes without `Shutdown` is a
-/// worker failure: the coordinator declares the worker dead, holds its
-/// shard open for a replacement, and degrades the affected panes if none
-/// arrives in time.
+/// [`Message::HelloAssign`], whose [`Assignment`] carries *every* run
+/// parameter — seed, sampling directive, pane interval, window
+/// specification and confidence level — so worker binaries need no
+/// configuration beyond an address and a worker id. After that, the worker
+/// ships one [`Message::PaneDigest`] per closed pane, interleaves
+/// [`Message::Heartbeat`]s while idle (an automatic heartbeat thread on the
+/// worker when the assignment carries a non-zero `heartbeat_interval_ms`),
+/// and says [`Message::Shutdown`] before closing its end. A socket that
+/// closes without `Shutdown` is a worker failure: the coordinator declares
+/// the worker dead, holds its shard open for a replacement, and degrades
+/// the affected panes if none arrives in time.
 ///
 /// Recovery extends the handshake: a replacement sends
 /// [`Message::HelloRejoin`] instead of `HelloJoin`, and the coordinator
@@ -248,48 +262,14 @@ pub enum Message {
         wants_results: bool,
     },
     /// The coordinator's reply: the full run configuration.
-    HelloAssign {
-        /// The worker id this assignment confirms.
-        worker: u32,
-        /// Total number of workers in the run (the shard count).
-        num_workers: u32,
-        /// The run seed; the worker derives its shard-local seed from it.
-        seed: RunSeed,
-        /// The sampling directive every worker runs under.
-        directive: Directive,
-        /// Pane length in milliseconds (the slide of the window spec).
-        pane_interval_ms: i64,
-        /// Expected items per pane across all workers (sizes reservoirs).
-        expected_pane_items: u64,
-        /// The window specification windows are finalized under.
-        window: WindowSpec,
-        /// The confidence level of the emitted error bounds.
-        confidence: Confidence,
-        /// Cadence (ms) at which the worker's automatic heartbeat thread
-        /// reports liveness; 0 disables automatic heartbeats.
-        heartbeat_interval_ms: u64,
-    },
+    HelloAssign(Assignment),
     /// One worker's mergeable digest of one closed pane.
     PaneDigest(Digest),
     /// Liveness and progress while no pane is closing.
-    Heartbeat {
-        /// The reporting worker's id.
-        worker: u32,
-        /// The worker's running ingest totals.
-        ingest: IngestCounters,
-        /// The worker's event-time watermark; `None` before its first item.
-        watermark: Option<EventTime>,
-        /// Outstanding items between the worker and its source.
-        lag: u64,
-        /// The pane start (ms) of the worker's last checkpoint, if any.
-        last_checkpoint_pane: Option<i64>,
-        /// Items the worker ingested since its last checkpoint.
-        items_since_checkpoint: u64,
-        /// Encoded size of the worker's last snapshot in bytes.
-        snapshot_bytes: u64,
-    },
-    /// A finalized window estimate (coordinator → worker).
-    WindowResult(WindowResultMsg),
+    Heartbeat(Heartbeat),
+    /// A finalized window estimate (coordinator → worker), in the
+    /// runtime's own [`WindowResult`] type.
+    WindowResult(WindowResult),
     /// A clean goodbye; the sender will close the connection next.
     Shutdown {
         /// The departing worker's id.
@@ -340,49 +320,17 @@ impl WireEncode for Message {
                 worker.encode(out);
                 wants_results.encode(out);
             }
-            Message::HelloAssign {
-                worker,
-                num_workers,
-                seed,
-                directive,
-                pane_interval_ms,
-                expected_pane_items,
-                window,
-                confidence,
-                heartbeat_interval_ms,
-            } => {
+            Message::HelloAssign(assignment) => {
                 out.push(1);
-                worker.encode(out);
-                num_workers.encode(out);
-                seed.encode(out);
-                directive.encode(out);
-                pane_interval_ms.encode(out);
-                expected_pane_items.encode(out);
-                window.encode(out);
-                confidence.encode(out);
-                put_varint(out, *heartbeat_interval_ms);
+                assignment.encode(out);
             }
             Message::PaneDigest(digest) => {
                 out.push(2);
                 digest.encode(out);
             }
-            Message::Heartbeat {
-                worker,
-                ingest,
-                watermark,
-                lag,
-                last_checkpoint_pane,
-                items_since_checkpoint,
-                snapshot_bytes,
-            } => {
+            Message::Heartbeat(heartbeat) => {
                 out.push(3);
-                worker.encode(out);
-                ingest.encode(out);
-                watermark.encode(out);
-                put_varint(out, *lag);
-                last_checkpoint_pane.encode(out);
-                put_varint(out, *items_since_checkpoint);
-                put_varint(out, *snapshot_bytes);
+                heartbeat.encode(out);
             }
             Message::WindowResult(result) => {
                 out.push(4);
@@ -429,52 +377,10 @@ impl WireDecode for Message {
                 worker: u32::decode(r)?,
                 wants_results: bool::decode(r)?,
             }),
-            1 => {
-                let worker = u32::decode(r)?;
-                let num_workers = u32::decode(r)?;
-                let seed = RunSeed::decode(r)?;
-                let directive = Directive::decode(r)?;
-                let pane_interval_ms = i64::decode(r)?;
-                let expected_pane_items = u64::decode(r)?;
-                let window = WindowSpec::decode(r)?;
-                let confidence = Confidence::decode(r)?;
-                let heartbeat_interval_ms = r.read_varint()?;
-                if num_workers == 0 {
-                    return Err(SaError::Wire("assignment with zero workers".to_string()));
-                }
-                if worker >= num_workers {
-                    return Err(SaError::Wire(format!(
-                        "assigned worker {worker} outside 0..{num_workers}"
-                    )));
-                }
-                if pane_interval_ms <= 0 {
-                    return Err(SaError::Wire(format!(
-                        "non-positive pane interval {pane_interval_ms}"
-                    )));
-                }
-                Ok(Message::HelloAssign {
-                    worker,
-                    num_workers,
-                    seed,
-                    directive,
-                    pane_interval_ms,
-                    expected_pane_items,
-                    window,
-                    confidence,
-                    heartbeat_interval_ms,
-                })
-            }
+            1 => Ok(Message::HelloAssign(Assignment::decode(r)?)),
             2 => Ok(Message::PaneDigest(Digest::decode(r)?)),
-            3 => Ok(Message::Heartbeat {
-                worker: u32::decode(r)?,
-                ingest: IngestCounters::decode(r)?,
-                watermark: Option::<EventTime>::decode(r)?,
-                lag: r.read_varint()?,
-                last_checkpoint_pane: Option::<i64>::decode(r)?,
-                items_since_checkpoint: r.read_varint()?,
-                snapshot_bytes: r.read_varint()?,
-            }),
-            4 => Ok(Message::WindowResult(WindowResultMsg::decode(r)?)),
+            3 => Ok(Message::Heartbeat(Heartbeat::decode(r)?)),
+            4 => Ok(Message::WindowResult(WindowResult::decode(r)?)),
             5 => Ok(Message::Shutdown {
                 worker: u32::decode(r)?,
             }),
@@ -511,7 +417,21 @@ impl WireDecode for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_types::{ErrorBound, StratumSample};
+    use sa_types::{ApproxResult, ErrorBound, StratumId, StratumSample};
+
+    fn assignment() -> Assignment {
+        Assignment {
+            worker: 2,
+            num_workers: 3,
+            seed: RunSeed::new(42),
+            directive: SizingDirective::Fraction(0.05),
+            pane_interval_ms: 500,
+            expected_pane_items: 10_000,
+            window: WindowSpec::sliding_millis(1_000, 500),
+            confidence: Confidence::P95,
+            heartbeat_interval_ms: 500,
+        }
+    }
 
     fn sample_digest() -> Digest {
         let sample: StratifiedSample<f64> = [
@@ -543,19 +463,9 @@ mod tests {
                 worker: 2,
                 wants_results: true,
             },
-            Message::HelloAssign {
-                worker: 2,
-                num_workers: 3,
-                seed: RunSeed::new(42),
-                directive: Directive::Fraction(0.05),
-                pane_interval_ms: 500,
-                expected_pane_items: 10_000,
-                window: WindowSpec::sliding_millis(1_000, 500),
-                confidence: Confidence::P95,
-                heartbeat_interval_ms: 500,
-            },
+            Message::HelloAssign(assignment()),
             Message::PaneDigest(sample_digest()),
-            Message::Heartbeat {
+            Message::Heartbeat(Heartbeat {
                 worker: 0,
                 ingest: IngestCounters {
                     ingested: 7,
@@ -566,8 +476,8 @@ mod tests {
                 last_checkpoint_pane: None,
                 items_since_checkpoint: 7,
                 snapshot_bytes: 0,
-            },
-            Message::WindowResult(WindowResultMsg {
+            }),
+            Message::WindowResult(WindowResult {
                 window: Window::new(EventTime::from_millis(0), EventTime::from_millis(1_000)),
                 sum: result,
                 mean: result,
@@ -640,7 +550,7 @@ mod tests {
             Err(SaError::Wire(_))
         ));
         assert!(matches!(
-            Directive::decode(&mut WireReader::new(&[7])),
+            SizingDirective::decode(&mut WireReader::new(&[7])),
             Err(SaError::Wire(_))
         ));
         assert!(matches!(
@@ -651,18 +561,14 @@ mod tests {
 
     #[test]
     fn invalid_assignments_rejected() {
-        let encode_assign = |worker: u32, num_workers: u32, pane_ms: i64| {
-            let mut out = vec![1u8];
-            worker.encode(&mut out);
-            num_workers.encode(&mut out);
-            RunSeed::new(1).encode(&mut out);
-            Directive::Everything.encode(&mut out);
-            pane_ms.encode(&mut out);
-            100u64.encode(&mut out);
-            WindowSpec::sliding_millis(1_000, 500).encode(&mut out);
-            Confidence::P95.encode(&mut out);
-            put_varint(&mut out, 500);
-            out
+        let encode_assign = |worker: u32, num_workers: u32, pane_interval_ms: i64| {
+            Message::HelloAssign(Assignment {
+                worker,
+                num_workers,
+                pane_interval_ms,
+                ..assignment()
+            })
+            .to_wire_bytes()
         };
         assert!(Message::from_wire_bytes(&encode_assign(0, 0, 500)).is_err());
         assert!(Message::from_wire_bytes(&encode_assign(3, 3, 500)).is_err());
@@ -672,12 +578,24 @@ mod tests {
 
     #[test]
     fn invalid_directives_rejected() {
-        for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            let bytes = Directive::Fraction(bad).to_wire_bytes();
-            assert!(Directive::from_wire_bytes(&bytes).is_err(), "{bad}");
+        for directive in [
+            SizingDirective::Fraction(0.0),
+            SizingDirective::Fraction(-0.5),
+            SizingDirective::Fraction(1.5),
+            SizingDirective::Fraction(f64::NAN),
+            SizingDirective::PerStratum(0),
+            SizingDirective::SharedTotal(0),
+        ] {
+            let bytes = Message::HelloAssign(Assignment {
+                directive,
+                ..assignment()
+            })
+            .to_wire_bytes();
+            assert!(
+                matches!(Message::from_wire_bytes(&bytes), Err(SaError::Wire(_))),
+                "{directive:?}"
+            );
         }
-        let bytes = Directive::PerStratum(0).to_wire_bytes();
-        assert!(Directive::from_wire_bytes(&bytes).is_err());
     }
 
     #[test]
@@ -725,7 +643,7 @@ mod tests {
         // Liveness handling is the receiver's job; at the codec layer a
         // duplicated, reordered, or post-shutdown heartbeat is just another
         // well-formed frame and must decode cleanly every time.
-        let hb = Message::Heartbeat {
+        let hb = Message::Heartbeat(Heartbeat {
             worker: 1,
             ingest: IngestCounters {
                 ingested: 10,
@@ -736,7 +654,7 @@ mod tests {
             last_checkpoint_pane: Some(500),
             items_since_checkpoint: 4,
             snapshot_bytes: 128,
-        };
+        });
         let bytes = hb.to_wire_bytes();
         for _ in 0..3 {
             assert_eq!(Message::from_wire_bytes(&bytes).unwrap(), hb);

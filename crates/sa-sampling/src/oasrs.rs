@@ -16,12 +16,11 @@ use crate::reservoir::Reservoir;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sa_types::{StratifiedSample, StratumId, StratumSample, StreamItem};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How per-stratum reservoir capacities `N_i` are chosen (the paper's
 /// "adaptive cost function considering the specified query budget", §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SizingPolicy {
     /// Every stratum gets a reservoir of exactly this many slots. This is
     /// the paper's headline configuration: "a sample of a fixed size for

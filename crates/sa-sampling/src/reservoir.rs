@@ -59,7 +59,6 @@
 //! from the same seed.
 
 use rand::{PreparedUniform, Rng};
-use serde::{Deserialize, Serialize};
 
 /// The seen-count-weighted union behind every merge in this crate: draws
 /// up to `capacity` items from two uniform samples over *disjoint*
@@ -116,7 +115,7 @@ const GAP_SCAN_LIMIT: u64 = 1 << 32;
 
 /// The armed skip-ahead state: how many more items to reject without
 /// consulting the RNG before the next acceptance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Jump {
     pub(crate) skip: u64,
 }
@@ -149,14 +148,13 @@ fn unit_open<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// assert_eq!(res.len(), 10);
 /// assert_eq!(res.seen(), 1_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reservoir<T> {
     pub(crate) items: Vec<T>,
     pub(crate) capacity: usize,
     pub(crate) seen: u64,
     /// Pre-drawn skip-ahead state; `None` means "arm on the next full
     /// observation" (underfull, freshly mutated, or deserialized).
-    #[serde(default)]
     pub(crate) jump: Option<Jump>,
 }
 

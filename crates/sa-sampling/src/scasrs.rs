@@ -16,7 +16,6 @@
 //! `s` fall below `h`; the expected wait-list is only `O(√(s·ln(1/δ)))`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Failure probability used for the threshold derivation, matching Spark's
 /// default order of magnitude.
@@ -25,7 +24,7 @@ pub const SCASRS_DELTA: f64 = 1e-4;
 /// Counters describing how much work a ScaSRS pass did — used by the
 /// `ablation_threshold` benchmark to show how the two thresholds shrink the
 /// sort volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScasrsStats {
     /// Items accepted below the low threshold without sorting.
     pub accepted_directly: usize,

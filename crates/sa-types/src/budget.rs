@@ -1,6 +1,6 @@
-//! Query budgets and confidence levels.
+//! Query budgets, the per-interval sizing directives they translate to,
+//! and confidence levels.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Confidence level attached to an error bound.
@@ -16,9 +16,7 @@ use std::fmt;
 /// assert_eq!(Confidence::P95.z(), 2.0);
 /// assert!(Confidence::P997.z() > Confidence::P68.z());
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Confidence {
     /// One standard deviation: ~68% of results fall within the bound.
     P68,
@@ -77,7 +75,7 @@ impl fmt::Display for Confidence {
 /// let budget = QueryBudget::SampleFraction(0.6);
 /// assert!(matches!(budget, QueryBudget::SampleFraction(f) if f == 0.6));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueryBudget {
     /// Sample a fixed fraction of the arriving items (`0 < f <= 1`). This is
     /// the knob the paper's evaluation sweeps (10%–90%).
@@ -155,6 +153,34 @@ impl fmt::Display for QueryBudget {
                 max_relative_error * 100.0
             ),
             QueryBudget::ResourceTokens(t) => write!(f, "{t} tokens"),
+        }
+    }
+}
+
+/// What the sampler should do for the next time interval: the answer a
+/// cost policy derives from a [`QueryBudget`] each interval, and what a
+/// distributed coordinator assigns its workers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SizingDirective {
+    /// Target this sampling fraction (OASRS adapts per-stratum reservoir
+    /// capacities to `fraction × last interval's arrivals`).
+    Fraction(f64),
+    /// Give every stratum a reservoir of exactly this many slots.
+    PerStratum(usize),
+    /// Split this total budget evenly over the strata seen.
+    SharedTotal(usize),
+    /// Process everything (native execution / 100% fraction).
+    Everything,
+}
+
+impl SizingDirective {
+    /// Whether a sampler can run this directive: a fraction in `(0, 1]`,
+    /// a positive budget.
+    pub fn is_valid(&self) -> bool {
+        match *self {
+            SizingDirective::Fraction(f) => f > 0.0 && f <= 1.0,
+            SizingDirective::PerStratum(n) | SizingDirective::SharedTotal(n) => n > 0,
+            SizingDirective::Everything => true,
         }
     }
 }

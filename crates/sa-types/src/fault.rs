@@ -11,8 +11,6 @@
 //! held open for a replacement, and how many respawns are allowed before
 //! the shard degrades permanently.
 
-use crate::error::SaError;
-use crate::wire::{WireDecode, WireEncode, WireReader};
 use std::fmt;
 use std::time::Duration;
 
@@ -148,31 +146,6 @@ impl fmt::Display for WorkerHealth {
     }
 }
 
-impl WireEncode for WorkerHealth {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            WorkerHealth::Healthy => 0,
-            WorkerHealth::Suspect => 1,
-            WorkerHealth::Dead => 2,
-            WorkerHealth::Retired => 3,
-            WorkerHealth::Done => 4,
-        });
-    }
-}
-
-impl WireDecode for WorkerHealth {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        match r.read_u8()? {
-            0 => Ok(WorkerHealth::Healthy),
-            1 => Ok(WorkerHealth::Suspect),
-            2 => Ok(WorkerHealth::Dead),
-            3 => Ok(WorkerHealth::Retired),
-            4 => Ok(WorkerHealth::Done),
-            tag => Err(SaError::Wire(format!("unknown worker health tag {tag}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,25 +175,5 @@ mod tests {
         // Disabled heartbeats mean no silence threshold at all.
         let off = FaultPolicy::default().with_heartbeat_interval(Duration::ZERO);
         assert_eq!(off.dead_after(), Duration::ZERO);
-    }
-
-    #[test]
-    fn health_roundtrips_and_rejects_unknown_tags() {
-        for h in [
-            WorkerHealth::Healthy,
-            WorkerHealth::Suspect,
-            WorkerHealth::Dead,
-            WorkerHealth::Retired,
-            WorkerHealth::Done,
-        ] {
-            let bytes = h.to_wire_bytes();
-            assert_eq!(WorkerHealth::from_wire_bytes(&bytes).unwrap(), h);
-            assert!(!format!("{h}").is_empty());
-        }
-        assert!(matches!(
-            WorkerHealth::from_wire_bytes(&[200]),
-            Err(SaError::Wire(_))
-        ));
-        assert!(WorkerHealth::from_wire_bytes(&[]).is_err());
     }
 }

@@ -1,6 +1,5 @@
 //! Stream items, strata and event time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -21,9 +20,7 @@ use std::ops::{Add, Sub};
 /// assert_ne!(tcp, udp);
 /// assert_eq!(tcp.index(), 0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct StratumId(pub u32);
 
 impl StratumId {
@@ -63,9 +60,7 @@ impl From<u32> for StratumId {
 /// assert_eq!(t.as_millis(), 10_000);
 /// assert_eq!(t + 500, EventTime::from_millis(10_500));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct EventTime(i64);
 
 impl EventTime {
@@ -149,7 +144,7 @@ impl From<i64> for EventTime {
 /// assert_eq!(item.stratum, StratumId(2));
 /// assert_eq!(item.value, 3.25);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamItem<V> {
     /// The sub-stream (stratum) this item belongs to.
     pub stratum: StratumId,

@@ -37,12 +37,12 @@ mod session;
 mod window;
 pub mod wire;
 
-pub use budget::{Confidence, QueryBudget};
+pub use budget::{Confidence, QueryBudget, SizingDirective};
 pub use checkpoint::{CheckpointPolicy, EngineSnapshot, SessionSnapshot};
 pub use error::SaError;
 pub use fault::{FaultPolicy, WorkerHealth};
 pub use item::{EventTime, StratumId, StreamItem};
-pub use result::{ApproxResult, ErrorBound};
+pub use result::{ApproxResult, ErrorBound, WindowResult};
 pub use sample::{StratifiedSample, StratumSample};
 pub use seed::RunSeed;
 pub use session::{IngestCounters, SessionStatus, ShardIngest, WorkerStatus};

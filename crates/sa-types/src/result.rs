@@ -1,7 +1,9 @@
-//! Approximate results and their error bounds.
+//! Approximate results, their error bounds, and the per-window answer
+//! they make up.
 
 use crate::budget::Confidence;
-use serde::{Deserialize, Serialize};
+use crate::item::StratumId;
+use crate::window::Window;
 use std::fmt;
 
 /// The `± error` part of an approximate answer.
@@ -17,7 +19,7 @@ use std::fmt;
 /// let b = ErrorBound::new(2.5, Confidence::P95);
 /// assert_eq!(b.margin(), 2.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorBound {
     margin: f64,
     confidence: Confidence,
@@ -77,7 +79,7 @@ impl fmt::Display for ErrorBound {
 /// assert!(r.interval().0 <= r.value && r.value <= r.interval().1);
 /// assert!((r.sampling_fraction() - 0.6).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxResult {
     /// The estimated value of the query.
     pub value: f64,
@@ -143,6 +145,53 @@ impl fmt::Display for ApproxResult {
             "{:.4} {} (n={}/{})",
             self.value, self.bound, self.sample_size, self.population_size
         )
+    }
+}
+
+/// Every aggregate the evaluation queries, for one completed sliding
+/// window, each in the paper's `output ± error bound` form (§3.1).
+///
+/// All four aggregates are computed for every window — they share the same
+/// per-stratum sufficient statistics, so the extra cost is a handful of
+/// float operations per stratum.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowResult {
+    /// The completed window.
+    pub window: Window,
+    /// Approximate sum of all item values in the window (Equations 2–3).
+    pub sum: ApproxResult,
+    /// Approximate mean of all item values (Equation 4).
+    pub mean: ApproxResult,
+    /// Per-sub-stream sums — the network-monitoring query (§6.2).
+    pub sum_by_stratum: Vec<(StratumId, ApproxResult)>,
+    /// Per-sub-stream means — the taxi query (§6.3).
+    pub mean_by_stratum: Vec<(StratumId, ApproxResult)>,
+    /// `true` if any pane of this window merged without a dead or
+    /// straggling shard's digest. The estimates above already account for
+    /// the loss: populations were inflated by the estimated shortfall, so
+    /// the error bounds are *wider* than a healthy window's, never
+    /// silently narrower.
+    pub degraded: bool,
+    /// Estimated items lost to missing shards across this window's panes
+    /// (0 for healthy windows).
+    pub lost_items: u64,
+}
+
+impl WindowResult {
+    /// Looks up one stratum's sum estimate.
+    pub fn stratum_sum(&self, id: StratumId) -> Option<&ApproxResult> {
+        self.sum_by_stratum
+            .iter()
+            .find(|(s, _)| *s == id)
+            .map(|(_, r)| r)
+    }
+
+    /// Looks up one stratum's mean estimate.
+    pub fn stratum_mean(&self, id: StratumId) -> Option<&ApproxResult> {
+        self.mean_by_stratum
+            .iter()
+            .find(|(s, _)| *s == id)
+            .map(|(_, r)| r)
     }
 }
 

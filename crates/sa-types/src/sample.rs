@@ -15,7 +15,6 @@
 //! the same struct to produce `output ± error bound`.
 
 use crate::item::StratumId;
-use serde::{Deserialize, Serialize};
 
 /// The sample drawn from a single stratum (sub-stream) during one time
 /// interval, together with the bookkeeping needed for weighting (Eq. 1) and
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// let small = StratumSample::new(StratumId(1), vec![5.0], 1, 3);
 /// assert_eq!(small.weight(), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StratumSample<V> {
     /// Which sub-stream this sample came from.
     pub stratum: StratumId,
@@ -121,7 +120,7 @@ impl<V> StratumSample<V> {
 /// assert_eq!(sample.total_population(), 6);
 /// assert_eq!(sample.total_sampled(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StratifiedSample<V> {
     strata: Vec<StratumSample<V>>,
 }

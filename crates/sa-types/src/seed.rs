@@ -1,7 +1,5 @@
 //! Run-level RNG seeding.
 
-use serde::{Deserialize, Serialize};
-
 /// The seed from which every random decision of one run derives.
 ///
 /// Both engines accept a `RunSeed` in their configs and hand it to the
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// derivation is a SplitMix64 finalizer, so parallel components draw
 /// decorrelated random streams while the whole run — on either engine —
 /// is exactly reproducible from the one seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunSeed(u64);
 
 impl RunSeed {

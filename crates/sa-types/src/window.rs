@@ -6,7 +6,6 @@
 //! 10-second window sliding by 5 seconds (§6.1).
 
 use crate::item::EventTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A concrete half-open time window `[start, end)`.
@@ -19,9 +18,7 @@ use std::fmt;
 /// assert!(w.contains(EventTime::from_secs(5)));
 /// assert!(!w.contains(EventTime::from_secs(10)));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Window {
     /// Inclusive start of the window.
     pub start: EventTime,
@@ -77,7 +74,7 @@ impl fmt::Display for Window {
 /// assert_eq!(ws[0].start, EventTime::from_secs(0));
 /// assert_eq!(ws[1].start, EventTime::from_secs(5));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WindowSpec {
     size_ms: i64,
     slide_ms: i64,

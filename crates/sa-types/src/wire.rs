@@ -26,14 +26,13 @@
 //! carries the format version for its whole payload, so individual values
 //! stay tag-free and compact.
 
-use crate::budget::Confidence;
+use crate::budget::{Confidence, SizingDirective};
 use crate::error::SaError;
-use crate::fault::WorkerHealth;
 use crate::item::{EventTime, StratumId};
-use crate::result::{ApproxResult, ErrorBound};
+use crate::result::{ApproxResult, ErrorBound, WindowResult};
 use crate::sample::{StratifiedSample, StratumSample};
 use crate::seed::RunSeed;
-use crate::session::{IngestCounters, ShardIngest, WorkerStatus};
+use crate::session::{IngestCounters, ShardIngest};
 use crate::window::{Window, WindowSpec};
 
 /// Serializes a value into the workspace wire format.
@@ -557,6 +556,70 @@ impl WireDecode for ApproxResult {
     }
 }
 
+// Sealed snapshots store these tags (engine sampler pools), so the table
+// is fixed at 1–4 for as long as `SNAPSHOT_VERSION` is 2.
+impl WireEncode for SizingDirective {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            SizingDirective::Fraction(f) => {
+                out.push(1);
+                f.encode(out);
+            }
+            SizingDirective::PerStratum(n) => {
+                out.push(2);
+                n.encode(out);
+            }
+            SizingDirective::SharedTotal(n) => {
+                out.push(3);
+                n.encode(out);
+            }
+            SizingDirective::Everything => out.push(4),
+        }
+    }
+}
+
+impl WireDecode for SizingDirective {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
+        let directive = match r.read_u8()? {
+            1 => SizingDirective::Fraction(r.read_f64()?),
+            2 => SizingDirective::PerStratum(usize::decode(r)?),
+            3 => SizingDirective::SharedTotal(usize::decode(r)?),
+            4 => SizingDirective::Everything,
+            t => return Err(SaError::Wire(format!("unknown sizing-directive tag {t}"))),
+        };
+        if !directive.is_valid() {
+            return Err(SaError::Wire(format!("invalid directive {directive:?}")));
+        }
+        Ok(directive)
+    }
+}
+
+impl WireEncode for WindowResult {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.window.encode(out);
+        self.sum.encode(out);
+        self.mean.encode(out);
+        self.sum_by_stratum.encode(out);
+        self.mean_by_stratum.encode(out);
+        self.degraded.encode(out);
+        put_varint(out, self.lost_items);
+    }
+}
+
+impl WireDecode for WindowResult {
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
+        Ok(WindowResult {
+            window: Window::decode(r)?,
+            sum: ApproxResult::decode(r)?,
+            mean: ApproxResult::decode(r)?,
+            sum_by_stratum: Vec::decode(r)?,
+            mean_by_stratum: Vec::decode(r)?,
+            degraded: bool::decode(r)?,
+            lost_items: r.read_varint()?,
+        })
+    }
+}
+
 impl WireEncode for IngestCounters {
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.ingested);
@@ -591,36 +654,6 @@ impl WireDecode for ShardIngest {
             sampled: r.read_varint()?,
             chunks_routed: r.read_varint()?,
             chunks_recycled: r.read_varint()?,
-        })
-    }
-}
-
-impl WireEncode for WorkerStatus {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.worker.encode(out);
-        self.ingest.encode(out);
-        self.watermark.encode(out);
-        put_varint(out, self.lag);
-        self.last_checkpoint_pane.encode(out);
-        put_varint(out, self.items_since_checkpoint);
-        put_varint(out, self.snapshot_bytes);
-        self.health.encode(out);
-        self.respawns.encode(out);
-    }
-}
-
-impl WireDecode for WorkerStatus {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(WorkerStatus {
-            worker: u32::decode(r)?,
-            ingest: IngestCounters::decode(r)?,
-            watermark: Option::<EventTime>::decode(r)?,
-            lag: r.read_varint()?,
-            last_checkpoint_pane: Option::<i64>::decode(r)?,
-            items_since_checkpoint: r.read_varint()?,
-            snapshot_bytes: r.read_varint()?,
-            health: WorkerHealth::decode(r)?,
-            respawns: u32::decode(r)?,
         })
     }
 }
@@ -755,20 +788,6 @@ mod tests {
             chunks_routed: 12,
             chunks_recycled: 11,
         });
-        roundtrip(&WorkerStatus {
-            worker: 2,
-            ingest: IngestCounters {
-                ingested: 5,
-                dropped_late: 1,
-            },
-            watermark: Some(EventTime::from_secs(9)),
-            lag: 4,
-            last_checkpoint_pane: Some(-1_000),
-            items_since_checkpoint: 17,
-            snapshot_bytes: 2_048,
-            health: WorkerHealth::Suspect,
-            respawns: 1,
-        });
         roundtrip(&String::from("aggregated"));
         roundtrip(&String::new());
         let sample: StratifiedSample<f64> = [
@@ -778,6 +797,60 @@ mod tests {
         .into_iter()
         .collect();
         roundtrip(&sample);
+    }
+
+    #[test]
+    fn directive_codec_roundtrips_every_variant() {
+        for (tag, d) in [
+            (1, SizingDirective::Fraction(0.25)),
+            (2, SizingDirective::PerStratum(7)),
+            (3, SizingDirective::SharedTotal(1_000)),
+            (4, SizingDirective::Everything),
+        ] {
+            let bytes = d.to_wire_bytes();
+            assert_eq!(bytes[0], tag, "{d:?}");
+            assert_eq!(SizingDirective::from_wire_bytes(&bytes).unwrap(), d);
+        }
+        for bad in [
+            SizingDirective::Fraction(0.0),
+            SizingDirective::Fraction(-0.5),
+            SizingDirective::Fraction(1.5),
+            SizingDirective::Fraction(f64::NAN),
+            SizingDirective::PerStratum(0),
+            SizingDirective::SharedTotal(0),
+        ] {
+            let bytes = bad.to_wire_bytes();
+            assert!(
+                matches!(
+                    SizingDirective::from_wire_bytes(&bytes),
+                    Err(SaError::Wire(_))
+                ),
+                "{bad:?}"
+            );
+        }
+        for tag in [0, 5, 9] {
+            assert!(matches!(
+                SizingDirective::from_wire_bytes(&[tag]),
+                Err(SaError::Wire(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn window_result_codec_roundtrips_bit_exact() {
+        let result = |v: f64| ApproxResult::new(v, ErrorBound::new(0.5, Confidence::P95), 3, 10);
+        let w = WindowResult {
+            window: Window::new(EventTime::from_secs(0), EventTime::from_secs(10)),
+            sum: result(10.125),
+            mean: result(1.0125),
+            sum_by_stratum: vec![(StratumId(0), result(4.0)), (StratumId(1), result(6.125))],
+            mean_by_stratum: vec![(StratumId(0), result(2.0))],
+            degraded: true,
+            lost_items: 512,
+        };
+        let back = WindowResult::from_wire_bytes(&w.to_wire_bytes()).unwrap();
+        assert_eq!(back, w);
+        assert_eq!(back.sum.value.to_bits(), w.sum.value.to_bits());
     }
 
     #[test]

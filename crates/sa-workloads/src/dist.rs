@@ -5,10 +5,9 @@
 //! keep the dependency set to the plain `rand` core.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A value distribution a sub-stream draws its items from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Distribution {
     /// Normal distribution with the given mean and standard deviation —
     /// the paper's Gaussian microbenchmark streams (§5.1).

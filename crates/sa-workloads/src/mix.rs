@@ -5,11 +5,10 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sa_aggregator::merge_by_time;
 use sa_types::{EventTime, StratumId, StreamItem};
-use serde::{Deserialize, Serialize};
 
 /// One synthetic sub-stream: a stratum emitting values from a distribution
 /// at a given arrival rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubStream {
     /// The stratum identity items will carry.
     pub stratum: StratumId,
@@ -55,7 +54,7 @@ impl SubStream {
 
 /// A fully deserialized microbenchmark record (see
 /// [`Mix::generate_lines`] for the wire format).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixRecord {
     /// Source (stratum) id.
     pub source: u32,
@@ -74,7 +73,7 @@ pub struct MixRecord {
 }
 
 /// A mix of sub-streams forming one input stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mix {
     substreams: Vec<SubStream>,
 }

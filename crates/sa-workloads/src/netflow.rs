@@ -15,13 +15,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sa_aggregator::merge_by_time;
 use sa_types::{EventTime, StratumId, StreamItem};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Transport protocol of a flow — the stratification criterion of the case
 /// study ("measure the TCP, UDP, and ICMP network traffic over time").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Transmission Control Protocol.
     Tcp,
@@ -96,7 +95,7 @@ impl std::error::Error for ParseRecordError {}
 /// One NetFlow record, trimmed to the fields the case study keeps (§6.2:
 /// "removed unused fields (such as source and destination ports, duration,
 /// etc.)").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowRecord {
     /// Transport protocol (the stratum).
     pub protocol: Protocol,

@@ -14,13 +14,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sa_aggregator::merge_by_time;
 use sa_types::{EventTime, StratumId, StreamItem};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A New York borough (plus Newark/EWR trips, which the DEBS mapping folds
 /// into a sixth zone) — the stratification criterion of the case study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Borough {
     /// Manhattan.
     Manhattan,
@@ -127,7 +126,7 @@ impl FromStr for Borough {
 }
 
 /// One taxi ride record, trimmed to the fields the query touches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaxiRide {
     /// Borough the trip started in (the stratum).
     pub borough: Borough,

@@ -489,4 +489,22 @@ fn checkpoint_guards_reject_unsupported_paths() {
         Err(err) => err,
     };
     assert!(matches!(err, SaError::Checkpoint(_)));
+
+    // A sampler pool whose directive no sampler can run is corrupt state:
+    // rewrite the pool's `Some(Fraction(0.4))` into `Some(PerStratum(0))`.
+    let mut hostile = snapshot;
+    let mut pool = vec![1u8, 1];
+    pool.extend_from_slice(&0.4f64.to_le_bytes());
+    let state = &mut hostile.engine.state;
+    let hits: Vec<usize> = (0..state.len())
+        .filter(|&at| state[at..].starts_with(&pool))
+        .collect();
+    assert_eq!(hits.len(), 1, "one pool directive in the aggregated state");
+    state.splice(hits[0] + 1..hits[0] + pool.len(), [2, 0]);
+    let mut p5 = FixedFraction(0.4);
+    let err = match checkpointable(EngineKind::Aggregated, &mut p5).resume(&hostile) {
+        Ok(_) => panic!("an unrunnable directive must refuse"),
+        Err(err) => err,
+    };
+    assert!(matches!(err, SaError::Wire(_)), "{err}");
 }

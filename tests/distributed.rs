@@ -13,7 +13,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sa_net::frame::{read_message, write_message, MAGIC};
-use sa_net::{Message, WIRE_VERSION};
+use sa_net::{Assignment, Message, WIRE_VERSION};
 use sa_types::{
     EventTime, FaultPolicy, RunSeed, StratifiedSample, StratumId, StreamItem, Window, WindowSpec,
 };
@@ -355,7 +355,10 @@ fn worker_disconnect_mid_pane_degrades_instead_of_hanging() {
         let assign = read_message(&mut stream)
             .expect("readable")
             .expect("assigned");
-        assert!(matches!(assign, Message::HelloAssign { worker: 1, .. }));
+        assert!(matches!(
+            assign,
+            Message::HelloAssign(Assignment { worker: 1, .. })
+        ));
         let mut partial = Vec::from(MAGIC);
         partial.push(WIRE_VERSION);
         partial.extend_from_slice(&64u32.to_le_bytes());

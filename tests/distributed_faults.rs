@@ -27,7 +27,7 @@
 
 use sa_aggregator::{Consumer, Partitioner, Producer, Topic};
 use sa_net::frame::{read_message, write_message};
-use sa_net::{Digest, DigestPayload, Message};
+use sa_net::{Assignment, Digest, DigestPayload, Heartbeat, Message};
 use sa_types::{
     EventTime, FaultPolicy, IngestCounters, RunSeed, StratifiedSample, StratumId, StreamItem,
     Window, WindowSpec, WorkerHealth,
@@ -471,10 +471,13 @@ fn hostile_frames_cost_the_connection_not_the_session() {
         let assign = read_message(&mut stream)
             .expect("readable")
             .expect("assigned");
-        assert!(matches!(assign, Message::HelloAssign { worker: 1, .. }));
+        assert!(matches!(
+            assign,
+            Message::HelloAssign(Assignment { worker: 1, .. })
+        ));
         write_message(
             &mut stream,
-            &Message::Heartbeat {
+            &Message::Heartbeat(Heartbeat {
                 worker: 1,
                 ingest: IngestCounters::default(),
                 watermark: None,
@@ -482,7 +485,7 @@ fn hostile_frames_cost_the_connection_not_the_session() {
                 last_checkpoint_pane: None,
                 items_since_checkpoint: 0,
                 snapshot_bytes: 0,
-            },
+            }),
         )
         .expect("heartbeats are always legal");
         let imposter = Digest {
