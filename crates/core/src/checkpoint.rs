@@ -34,7 +34,9 @@
 //! the snapshot format to every policy implementation).
 
 use crate::combine::PanePayload;
-use sa_types::{EngineSnapshot, SaError, SessionSnapshot, WireDecode, WireEncode, WireReader};
+use sa_types::{
+    wire_enum, EngineSnapshot, SaError, SessionSnapshot, WireDecode, WireEncode, WireReader,
+};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -224,41 +226,13 @@ pub fn open_session_snapshot(sealed: &[u8]) -> Result<SessionSnapshot, SaError> 
     SessionSnapshot::from_wire_bytes(sa_net::open_snapshot(sealed)?)
 }
 
-// --- The pane payload's snapshot codec --------------------------------------
-//
 // `PanePayload` is the one snapshot type that lives in this crate (not
-// sa-types), so its layout is defined here, next to the snapshot code that
-// is its only consumer. It follows the rules of `sa_types::wire`: a
-// tag-free layout, strict decoding, and any change bumps
-// `sa_net::SNAPSHOT_VERSION`.
-
-pub(crate) fn encode_pane_payload(p: &PanePayload, out: &mut Vec<u8>) {
-    match p {
-        PanePayload::Stratified(stats) => {
-            0u8.encode(out);
-            stats.encode(out);
-        }
-        PanePayload::Srs {
-            samples,
-            population,
-        } => {
-            1u8.encode(out);
-            samples.encode(out);
-            population.encode(out);
-        }
-    }
-}
-
-pub(crate) fn decode_pane_payload(r: &mut WireReader<'_>) -> Result<PanePayload, SaError> {
-    match u8::decode(r)? {
-        0 => Ok(PanePayload::Stratified(Vec::decode(r)?)),
-        1 => Ok(PanePayload::Srs {
-            samples: Vec::decode(r)?,
-            population: u64::decode(r)?,
-        }),
-        tag => Err(SaError::Wire(format!("unknown pane-payload tag {tag}"))),
-    }
-}
+// sa-types), so its layout is declared here, next to the snapshot code that
+// is its only consumer. Any change bumps `sa_net::SNAPSHOT_VERSION`.
+wire_enum!(PanePayload {
+    0 => Stratified(stats),
+    1 => Srs { samples, population },
+});
 
 #[cfg(test)]
 mod tests {
@@ -311,11 +285,9 @@ mod tests {
             },
         ];
         for p in payloads {
-            let mut out = Vec::new();
-            encode_pane_payload(&p, &mut out);
-            let mut r = WireReader::new(&out);
-            assert_eq!(decode_pane_payload(&mut r).unwrap(), p);
-            assert_eq!(r.remaining(), 0);
+            let bytes = p.to_wire_bytes();
+            assert_eq!(bytes[0], u8::from(matches!(p, PanePayload::Srs { .. })));
+            assert_eq!(PanePayload::from_wire_bytes(&bytes).unwrap(), p);
         }
     }
 }

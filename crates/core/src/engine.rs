@@ -22,7 +22,7 @@
 //! [`crate::ApproxSession::from_engine`].
 
 use crate::output::{RunOutput, WindowResult};
-use sa_types::{EngineSnapshot, SaError, ShardIngest, StreamItem, WorkerStatus};
+use sa_types::{EngineSnapshot, SaError, ShardIngest, StreamItem};
 
 /// One execution substrate driving the approximation runtime
 /// incrementally.
@@ -101,14 +101,6 @@ pub trait Engine<R> {
     /// [`settle`](Engine::settle) (or pane close, whichever is later) —
     /// call `settle` first when freshness matters.
     fn shard_ingest(&self) -> Vec<ShardIngest> {
-        Vec::new()
-    }
-
-    /// Per-remote-worker progress for distributed substrates, in worker-id
-    /// order, as of each worker's last digest or heartbeat. Local
-    /// substrates keep the default empty answer; `ApproxSession::status`
-    /// surfaces this through `SessionStatus::workers`.
-    fn worker_status(&self) -> Vec<WorkerStatus> {
         Vec::new()
     }
 

@@ -20,7 +20,9 @@ use crate::cost::CostPolicy;
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
-use crate::runtime::{sampler_sizing, window_tile_ms, IntervalWorker, WindowFinalizer};
+use crate::runtime::{
+    representable, sampler_sizing, skip_horizon_ms, window_tile_ms, IntervalWorker, WindowFinalizer,
+};
 use crate::session::StreamApprox;
 use sa_estimate::StratumStats;
 use sa_pipelined::{Flow, FlowHandle, Operator, PushSource};
@@ -314,6 +316,10 @@ where
 pub(crate) struct PipelinedEngine<R: Send + 'static> {
     source: PushSource<R>,
     sink: FlowHandle<RunnerOut>,
+    /// Pane interval and gap-jump horizon: the headroom an event time
+    /// needs to be [`representable`].
+    pane_ms: i64,
+    horizon_ms: i64,
     started: Instant,
     ingested: u64,
     aggregated: u64,
@@ -364,6 +370,8 @@ where
         PipelinedEngine {
             source,
             sink,
+            pane_ms,
+            horizon_ms: skip_horizon_ms(window_spec),
             started,
             ingested: 0,
             aggregated: 0,
@@ -399,7 +407,19 @@ where
     R: Send + Sync + 'static,
 {
     fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
+        representable(item.time, self.pane_ms, self.horizon_ms)?;
         self.source.push(item)
+    }
+
+    fn push_chunk(&mut self, items: Vec<StreamItem<R>>) -> Result<(), SaError> {
+        // The chunk is time-ordered, so its ends bound every item: refuse
+        // it whole rather than ingest a prefix of it.
+        for end in [items.first(), items.last()].into_iter().flatten() {
+            representable(end.time, self.pane_ms, self.horizon_ms)?;
+        }
+        items
+            .into_iter()
+            .try_for_each(|item| self.source.push(item))
     }
 
     fn poll_windows(&mut self) -> Vec<WindowResult> {
@@ -414,6 +434,7 @@ where
             started,
             mut ingested,
             mut aggregated,
+            ..
         } = *self;
         drop(source); // end-of-stream: final MAX watermark flushes every window
         let emitted = sink.drain_to_end();

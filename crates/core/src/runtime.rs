@@ -41,7 +41,7 @@
 //! `batched`, the ring fabric in `sharded`, the wire in `net`, operator
 //! pipelines and exchanges in `pipelined`.
 
-use crate::checkpoint::{decode_pane_payload, encode_pane_payload, RecordCodec};
+use crate::checkpoint::RecordCodec;
 use crate::combine::{combine_panes, PanePayload};
 use crate::cost::{CostPolicy, IntervalFeedback, PolicyHandle, SizingDirective};
 use crate::output::{RunOutput, WindowResult};
@@ -563,6 +563,32 @@ pub(crate) fn untiled_interval(interval_ms: i64) -> SaError {
     ))
 }
 
+/// The gap-jump horizon for windows of `spec`: twice `size + slide` (see
+/// [`PaneDriver`]'s invariants).
+pub(crate) fn skip_horizon_ms(spec: WindowSpec) -> i64 {
+    2 * (spec.size_millis() + spec.slide_millis())
+}
+
+/// `time` in ms, or the refusal of a time on which pane or window
+/// arithmetic could overflow: one pane interval plus the skip horizon of
+/// headroom at either end of `i64` keeps the pane's own bounds, the
+/// watermark it becomes, and every window end derived from that watermark
+/// representable. Every engine that cuts panes refuses the same times.
+pub(crate) fn representable(
+    time: EventTime,
+    interval_ms: i64,
+    skip_horizon_ms: i64,
+) -> Result<i64, SaError> {
+    let t = time.as_millis();
+    let margin = interval_ms.saturating_add(skip_horizon_ms);
+    if t < i64::MIN.saturating_add(margin) || t > i64::MAX.saturating_sub(margin) {
+        return Err(SaError::InvalidConfig(format!(
+            "event time {t} ms is outside the range {interval_ms} ms panes can represent"
+        )));
+    }
+    Ok(t)
+}
+
 /// What a substrate does with the panes the [`PaneDriver`] cuts: take the
 /// open pane's items, and close it. Where panes begin and end is the
 /// driver's business alone.
@@ -635,7 +661,7 @@ impl PaneDriver {
         PaneDriver {
             interval_ms,
             tiles: tile_ms % interval_ms == 0,
-            skip_horizon_ms: 2 * (spec.size_millis() + spec.slide_millis()),
+            skip_horizon_ms: skip_horizon_ms(spec),
             open: None,
         }
     }
@@ -712,23 +738,13 @@ impl PaneDriver {
         Ok(())
     }
 
-    /// The grid pane containing `time`, or the refusal for a time on which
-    /// pane or window arithmetic could overflow: one interval plus the
-    /// skip horizon of headroom at either end of `i64` keeps the pane's
-    /// own bounds, the watermark it becomes, and every window end derived
-    /// from that watermark representable.
+    /// The grid pane containing `time`, or the refusal for a time
+    /// [`representable`] refuses.
     fn pane_of(&self, time: EventTime) -> Result<Window, SaError> {
         if !self.tiles {
             return Err(untiled_interval(self.interval_ms));
         }
-        let t = time.as_millis();
-        let margin = self.interval_ms.saturating_add(self.skip_horizon_ms);
-        if t < i64::MIN.saturating_add(margin) || t > i64::MAX.saturating_sub(margin) {
-            return Err(SaError::InvalidConfig(format!(
-                "event time {t} ms is outside the range {} ms panes can represent",
-                self.interval_ms
-            )));
-        }
+        let t = representable(time, self.interval_ms, self.skip_horizon_ms)?;
         let start = EventTime::from_millis(t.div_euclid(self.interval_ms) * self.interval_ms);
         Ok(Window::new(start, start + self.interval_ms))
     }
@@ -877,10 +893,7 @@ impl WindowFinalizer {
         put_varint(out, panes.len() as u64);
         for (&start, payloads) in panes {
             start.encode(out);
-            put_varint(out, payloads.len() as u64);
-            for p in payloads {
-                encode_pane_payload(p, out);
-            }
+            payloads.encode(out);
         }
         self.completed.encode(out);
         put_varint(out, self.degraded_panes.len() as u64);
@@ -898,15 +911,10 @@ impl WindowFinalizer {
         let mut panes: BTreeMap<i64, Vec<PanePayload>> = BTreeMap::new();
         for _ in 0..n {
             let start = i64::decode(r)?;
-            let count = r.read_len()?;
-            let mut payloads = Vec::with_capacity(count);
-            for _ in 0..count {
-                // Stored in stratum order; a snapshot that is not is put
-                // back in it rather than trusted.
-                let mut payload = decode_pane_payload(r)?;
-                payload.sort_by_stratum();
-                payloads.push(payload);
-            }
+            let mut payloads = Vec::<PanePayload>::decode(r)?;
+            // Stored in stratum order; a snapshot that is not is put back
+            // in it rather than trusted.
+            payloads.iter_mut().for_each(PanePayload::sort_by_stratum);
             if panes.insert(start, payloads).is_some() {
                 return Err(SaError::Wire(format!(
                     "duplicate pane start {start} in windower state"

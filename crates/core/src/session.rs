@@ -563,7 +563,7 @@ impl<'p, R> ApproxSession<'p, R> {
             watermark: self.watermark,
             ingest: self.ingest,
             shards: self.engine.shard_ingest(),
-            workers: self.engine.worker_status(),
+            workers: Vec::new(),
             last_checkpoint_pane: self.last_checkpoint_pane,
             items_since_checkpoint: self.items_since_checkpoint,
             snapshot_bytes: self.snapshot_bytes,
@@ -605,6 +605,12 @@ impl<'p, R> ApproxSession<'p, R> {
     /// not support snapshots); [`SaError::Disconnected`] if the engine has
     /// shut down.
     pub fn checkpoint(&mut self) -> Result<SessionSnapshot, SaError> {
+        Ok(self.checkpoint_sealed()?.0)
+    }
+
+    /// Takes a checkpoint, returning the snapshot and its sealed frame —
+    /// the one frame the session measures, publishes and stores.
+    fn checkpoint_sealed(&mut self) -> Result<(SessionSnapshot, Vec<u8>), SaError> {
         self.engine.settle()?;
         let engine_snapshot = self.engine.snapshot()?;
         let snapshot = SessionSnapshot {
@@ -625,7 +631,7 @@ impl<'p, R> ApproxSession<'p, R> {
         // Substrates with a remote coordinator ship the sealed slice
         // upstream so a replacement worker can adopt this shard's state.
         self.engine.publish_checkpoint(&sealed);
-        Ok(snapshot)
+        Ok((snapshot, sealed))
     }
 
     /// Takes a checkpoint and persists its sealed frame to `store`,
@@ -638,8 +644,7 @@ impl<'p, R> ApproxSession<'p, R> {
     /// Everything [`checkpoint`](ApproxSession::checkpoint) can return,
     /// plus the store's I/O errors.
     pub fn checkpoint_to(&mut self, store: &mut dyn CheckpointStore) -> Result<u64, SaError> {
-        let snapshot = self.checkpoint()?;
-        let sealed = seal_session_snapshot(&snapshot)?;
+        let (_, sealed) = self.checkpoint_sealed()?;
         store.save(&sealed)?;
         Ok(sealed.len() as u64)
     }

@@ -2,10 +2,7 @@
 //! variance estimators of §3.3.
 
 use crate::welford::Welford;
-use sa_types::wire::put_varint;
-use sa_types::{
-    SaError, StratifiedSample, StratumId, StratumSample, WireDecode, WireEncode, WireReader,
-};
+use sa_types::{wire_struct, StratifiedSample, StratumId, StratumSample};
 
 /// The sufficient statistics of one stratum's sample: the arrival counter
 /// `C_i`, and a [`Welford`] accumulator over the `Y_i` sampled values giving
@@ -130,33 +127,8 @@ impl StratumStats {
     }
 }
 
-impl WireEncode for StratumStats {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.stratum.encode(out);
-        put_varint(out, self.population);
-        self.acc.encode(out);
-    }
-}
-
-impl WireDecode for StratumStats {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        let stratum = StratumId::decode(r)?;
-        let population = r.read_varint()?;
-        let acc = Welford::decode(r)?;
-        // More sampled values than arrivals means a forged weight below 1.
-        if acc.count() > population {
-            return Err(SaError::Wire(format!(
-                "stratum sample size {} exceeds population {population}",
-                acc.count()
-            )));
-        }
-        Ok(StratumStats {
-            stratum,
-            population,
-            acc,
-        })
-    }
-}
+// More sampled values than arrivals would forge a weight below 1.
+wire_struct!(StratumStats { stratum, population, acc } check |s| s.acc.count() <= s.population);
 
 /// Projects a whole [`StratifiedSample`] to per-stratum statistics, in
 /// stratum order.
@@ -173,6 +145,7 @@ pub fn stats_of<V, F: FnMut(&V) -> f64>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sa_types::{WireDecode, WireEncode};
 
     fn stats(pop: u64, values: &[f64]) -> StratumStats {
         let acc: Welford = values.iter().copied().collect();

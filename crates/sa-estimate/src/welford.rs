@@ -4,8 +4,7 @@
 //! unbiased sample variance `s_i²` (Equation 7). Welford's recurrence
 //! computes both in one numerically stable pass without storing the items.
 
-use sa_types::wire::put_varint;
-use sa_types::{SaError, WireDecode, WireEncode, WireReader};
+use sa_types::wire_struct;
 
 /// A streaming accumulator for count, mean and unbiased sample variance.
 ///
@@ -106,35 +105,18 @@ impl Welford {
         self.mean += delta * other.count as f64 / total as f64;
         self.count = total;
     }
-}
 
-impl WireEncode for Welford {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.count);
-        self.mean.encode(out);
-        self.m2.encode(out);
+    /// What a decoded accumulator must satisfy: an empty one is all-zero,
+    /// or `push`/`merge` would start from a phantom mean, and `m2` is a sum
+    /// of squares, never negative (NaN passes — pushing NaN values is
+    /// legitimate).
+    fn is_consistent(&self) -> bool {
+        let empty_is_zero = self.count > 0 || (self.mean == 0.0 && self.m2 == 0.0);
+        empty_is_zero && (self.m2 >= 0.0 || self.m2.is_nan())
     }
 }
 
-impl WireDecode for Welford {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        let count = r.read_varint()?;
-        let mean = r.read_f64()?;
-        let m2 = r.read_f64()?;
-        // An empty accumulator must be all-zero or `push`/`merge` would
-        // start from a phantom mean; m2 is a sum of squares and can never
-        // go negative (NaN passes — pushing NaN values is legitimate).
-        if count == 0 && (mean != 0.0 || m2 != 0.0) {
-            return Err(SaError::Wire(
-                "welford accumulator empty but non-zero".to_string(),
-            ));
-        }
-        if m2 < 0.0 {
-            return Err(SaError::Wire(format!("negative welford m2 {m2}")));
-        }
-        Ok(Welford { count, mean, m2 })
-    }
-}
+wire_struct!(Welford { count, mean, m2 } check Welford::is_consistent);
 
 impl FromIterator<f64> for Welford {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
@@ -157,6 +139,8 @@ impl Extend<f64> for Welford {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sa_types::wire::put_varint;
+    use sa_types::{WireDecode, WireEncode};
 
     fn naive_stats(xs: &[f64]) -> (f64, f64) {
         let n = xs.len() as f64;

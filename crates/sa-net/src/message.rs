@@ -1,10 +1,10 @@
 //! Protocol messages and their wire encodings.
 
 use sa_estimate::StratumStats;
-use sa_types::wire::put_varint;
+use sa_types::wire::bytes;
 use sa_types::{
-    Confidence, EventTime, IngestCounters, RunSeed, SaError, SizingDirective, StratifiedSample,
-    Window, WindowResult, WindowSpec, WireDecode, WireEncode, WireReader,
+    wire_enum, wire_struct, Confidence, EventTime, IngestCounters, RunSeed, SizingDirective,
+    StratifiedSample, Window, WindowResult, WindowSpec,
 };
 
 /// The run configuration a coordinator assigns to a joining worker in
@@ -33,51 +33,17 @@ pub struct Assignment {
     pub heartbeat_interval_ms: u64,
 }
 
-impl WireEncode for Assignment {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.worker.encode(out);
-        self.num_workers.encode(out);
-        self.seed.encode(out);
-        self.directive.encode(out);
-        self.pane_interval_ms.encode(out);
-        self.expected_pane_items.encode(out);
-        self.window.encode(out);
-        self.confidence.encode(out);
-        put_varint(out, self.heartbeat_interval_ms);
-    }
-}
-
-impl WireDecode for Assignment {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        let a = Assignment {
-            worker: u32::decode(r)?,
-            num_workers: u32::decode(r)?,
-            seed: RunSeed::decode(r)?,
-            directive: SizingDirective::decode(r)?,
-            pane_interval_ms: i64::decode(r)?,
-            expected_pane_items: u64::decode(r)?,
-            window: WindowSpec::decode(r)?,
-            confidence: Confidence::decode(r)?,
-            heartbeat_interval_ms: r.read_varint()?,
-        };
-        if a.num_workers == 0 {
-            return Err(SaError::Wire("assignment with zero workers".to_string()));
-        }
-        if a.worker >= a.num_workers {
-            return Err(SaError::Wire(format!(
-                "assigned worker {} outside 0..{}",
-                a.worker, a.num_workers
-            )));
-        }
-        if a.pane_interval_ms <= 0 {
-            return Err(SaError::Wire(format!(
-                "non-positive pane interval {}",
-                a.pane_interval_ms
-            )));
-        }
-        Ok(a)
-    }
-}
+wire_struct!(Assignment {
+    worker,
+    num_workers,
+    seed,
+    directive,
+    pane_interval_ms,
+    expected_pane_items,
+    window,
+    confidence,
+    heartbeat_interval_ms,
+} check |a| a.worker < a.num_workers && a.pane_interval_ms > 0);
 
 /// A worker's liveness and progress report, sent while no pane is closing
 /// (a [`Digest`] carries the same progress fields with each closed pane).
@@ -99,31 +65,15 @@ pub struct Heartbeat {
     pub snapshot_bytes: u64,
 }
 
-impl WireEncode for Heartbeat {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.worker.encode(out);
-        self.ingest.encode(out);
-        self.watermark.encode(out);
-        put_varint(out, self.lag);
-        self.last_checkpoint_pane.encode(out);
-        put_varint(out, self.items_since_checkpoint);
-        put_varint(out, self.snapshot_bytes);
-    }
-}
-
-impl WireDecode for Heartbeat {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(Heartbeat {
-            worker: u32::decode(r)?,
-            ingest: IngestCounters::decode(r)?,
-            watermark: Option::<EventTime>::decode(r)?,
-            lag: r.read_varint()?,
-            last_checkpoint_pane: Option::<i64>::decode(r)?,
-            items_since_checkpoint: r.read_varint()?,
-            snapshot_bytes: r.read_varint()?,
-        })
-    }
-}
+wire_struct!(Heartbeat {
+    worker,
+    ingest,
+    watermark,
+    lag,
+    last_checkpoint_pane,
+    items_since_checkpoint,
+    snapshot_bytes,
+});
 
 /// The mergeable state one worker ships for one closed pane.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,39 +86,17 @@ pub enum DigestPayload {
     Exact(Vec<StratumStats>),
 }
 
-impl WireEncode for DigestPayload {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            DigestPayload::Sampled(sample) => {
-                out.push(0);
-                sample.encode(out);
-            }
-            DigestPayload::Exact(stats) => {
-                out.push(1);
-                stats.encode(out);
-            }
-        }
-    }
-}
+wire_enum!(DigestPayload {
+    0 => Sampled(sample),
+    1 => Exact(stats),
+} check exact_strata_ascend);
 
-impl WireDecode for DigestPayload {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        match r.read_u8()? {
-            0 => Ok(DigestPayload::Sampled(StratifiedSample::decode(r)?)),
-            1 => {
-                let stats = Vec::<StratumStats>::decode(r)?;
-                for pair in stats.windows(2) {
-                    if pair[1].stratum <= pair[0].stratum {
-                        return Err(SaError::Wire(format!(
-                            "exact digest strata out of order at {}",
-                            pair[1].stratum
-                        )));
-                    }
-                }
-                Ok(DigestPayload::Exact(stats))
-            }
-            t => Err(SaError::Wire(format!("unknown digest payload tag {t}"))),
-        }
+/// A sampled payload checks its own stratum order as it decodes; exact
+/// statistics must be in the same strictly ascending order.
+fn exact_strata_ascend(payload: &DigestPayload) -> bool {
+    match payload {
+        DigestPayload::Sampled(_) => true,
+        DigestPayload::Exact(stats) => stats.windows(2).all(|w| w[0].stratum < w[1].stratum),
     }
 }
 
@@ -197,35 +125,17 @@ pub struct Digest {
     pub payload: DigestPayload,
 }
 
-impl WireEncode for Digest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.worker.encode(out);
-        self.pane.encode(out);
-        self.counters.encode(out);
-        self.watermark.encode(out);
-        put_varint(out, self.lag);
-        self.last_checkpoint_pane.encode(out);
-        put_varint(out, self.items_since_checkpoint);
-        put_varint(out, self.snapshot_bytes);
-        self.payload.encode(out);
-    }
-}
-
-impl WireDecode for Digest {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(Digest {
-            worker: u32::decode(r)?,
-            pane: Window::decode(r)?,
-            counters: IngestCounters::decode(r)?,
-            watermark: Option::<EventTime>::decode(r)?,
-            lag: r.read_varint()?,
-            last_checkpoint_pane: Option::<i64>::decode(r)?,
-            items_since_checkpoint: r.read_varint()?,
-            snapshot_bytes: r.read_varint()?,
-            payload: DigestPayload::decode(r)?,
-        })
-    }
-}
+wire_struct!(Digest {
+    worker,
+    pane,
+    counters,
+    watermark,
+    lag,
+    last_checkpoint_pane,
+    items_since_checkpoint,
+    snapshot_bytes,
+    payload,
+});
 
 /// A protocol message, as it crosses a [`frame`](crate::frame)d transport.
 ///
@@ -309,115 +219,26 @@ pub enum Message {
     },
 }
 
-impl WireEncode for Message {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Message::HelloJoin {
-                worker,
-                wants_results,
-            } => {
-                out.push(0);
-                worker.encode(out);
-                wants_results.encode(out);
-            }
-            Message::HelloAssign(assignment) => {
-                out.push(1);
-                assignment.encode(out);
-            }
-            Message::PaneDigest(digest) => {
-                out.push(2);
-                digest.encode(out);
-            }
-            Message::Heartbeat(heartbeat) => {
-                out.push(3);
-                heartbeat.encode(out);
-            }
-            Message::WindowResult(result) => {
-                out.push(4);
-                result.encode(out);
-            }
-            Message::Shutdown { worker } => {
-                out.push(5);
-                worker.encode(out);
-            }
-            Message::HelloRejoin { wants_results } => {
-                out.push(6);
-                wants_results.encode(out);
-            }
-            Message::Reassign {
-                worker,
-                respawns,
-                snapshot,
-            } => {
-                out.push(7);
-                worker.encode(out);
-                respawns.encode(out);
-                put_varint(out, snapshot.len() as u64);
-                out.extend_from_slice(snapshot);
-            }
-            Message::SnapshotSlice {
-                worker,
-                pane,
-                sealed,
-            } => {
-                out.push(8);
-                worker.encode(out);
-                pane.encode(out);
-                put_varint(out, sealed.len() as u64);
-                out.extend_from_slice(sealed);
-            }
-        }
-    }
-}
-
-impl WireDecode for Message {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        match r.read_u8()? {
-            0 => Ok(Message::HelloJoin {
-                worker: u32::decode(r)?,
-                wants_results: bool::decode(r)?,
-            }),
-            1 => Ok(Message::HelloAssign(Assignment::decode(r)?)),
-            2 => Ok(Message::PaneDigest(Digest::decode(r)?)),
-            3 => Ok(Message::Heartbeat(Heartbeat::decode(r)?)),
-            4 => Ok(Message::WindowResult(WindowResult::decode(r)?)),
-            5 => Ok(Message::Shutdown {
-                worker: u32::decode(r)?,
-            }),
-            6 => Ok(Message::HelloRejoin {
-                wants_results: bool::decode(r)?,
-            }),
-            7 => {
-                let worker = u32::decode(r)?;
-                let respawns = u32::decode(r)?;
-                let len = r.read_len()?;
-                let snapshot = r.read_bytes(len)?.to_vec();
-                Ok(Message::Reassign {
-                    worker,
-                    respawns,
-                    snapshot,
-                })
-            }
-            8 => {
-                let worker = u32::decode(r)?;
-                let pane = Option::<i64>::decode(r)?;
-                let len = r.read_len()?;
-                let sealed = r.read_bytes(len)?.to_vec();
-                Ok(Message::SnapshotSlice {
-                    worker,
-                    pane,
-                    sealed,
-                })
-            }
-            t => Err(SaError::Wire(format!("unknown message tag {t}"))),
-        }
-    }
-}
+wire_enum!(Message {
+    0 => HelloJoin { worker, wants_results },
+    1 => HelloAssign(assignment),
+    2 => PaneDigest(digest),
+    3 => Heartbeat(heartbeat),
+    4 => WindowResult(result),
+    5 => Shutdown { worker },
+    6 => HelloRejoin { wants_results },
+    7 => Reassign { worker, respawns, snapshot with bytes },
+    8 => SnapshotSlice { worker, pane, sealed with bytes },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_types::{ApproxResult, ErrorBound, StratumId, StratumSample};
+    use sa_types::wire::put_varint;
+    use sa_types::{
+        ApproxResult, ErrorBound, SaError, StratumId, StratumSample, WireDecode, WireEncode,
+        WireReader,
+    };
 
     fn assignment() -> Assignment {
         Assignment {

@@ -28,13 +28,12 @@
 //!   `StratifiedSample::union`): each of `w` workers runs reservoirs of
 //!   size `N/w`, and the union concatenates them — the paper's §3.2
 //!   distributed execution.
-//! * **full capacity + weighted merge** ([`OasrsSampler::merge_with`],
-//!   [`merge_stratified`] / [`merge_stratum_samples`] /
-//!   [`merge_all_stratified`], [`merge_srs_samples`]): each shard runs at
-//!   full capacity and the shard-local samples are united by the
-//!   seen-count-weighted reservoir union, which preserves uniform
-//!   inclusion probabilities even when shards saw very different volumes.
-//!   This is the mergeable path the sharded engine builds on.
+//! * **full capacity + weighted merge** ([`merge_all_stratified`]): each
+//!   shard runs at full capacity and the shard-local finished samples are
+//!   united by the seen-count-weighted reservoir union, which preserves
+//!   uniform inclusion probabilities even when shards saw very different
+//!   volumes. This is the mergeable path the sharded engine and the
+//!   distributed coordinator build on.
 //!
 //! All samplers are deterministic given a seed, which keeps every
 //! experiment in the benchmark harness reproducible.
@@ -66,9 +65,7 @@ mod wire;
 pub use oasrs::{OasrsSampler, SizingPolicy};
 pub use reservoir::Reservoir;
 pub use scasrs::{
-    merge_srs_samples, random_sort_sample, scasrs_sample, scasrs_sample_with_stats,
-    scasrs_thresholds, ScasrsStats, SCASRS_DELTA,
+    random_sort_sample, scasrs_sample, scasrs_sample_with_stats, scasrs_thresholds, ScasrsStats,
+    SCASRS_DELTA,
 };
-pub use stratified::{
-    merge_all_stratified, merge_stratified, merge_stratum_samples, sample_by_key_exact,
-};
+pub use stratified::{merge_all_stratified, sample_by_key_exact};

@@ -45,17 +45,14 @@ pub enum SizingPolicy {
 }
 
 impl SizingPolicy {
-    fn validate(&self) {
+    /// Whether a sampler can run this policy: a positive budget or initial
+    /// capacity, and a fraction in `(0, 1]`. Construction asserts it; the
+    /// wire decoder refuses a payload that fails it.
+    pub(crate) fn is_valid(&self) -> bool {
         match *self {
-            SizingPolicy::PerStratum(n) | SizingPolicy::SharedTotal(n) => {
-                assert!(n > 0, "sampling budget must be positive")
-            }
+            SizingPolicy::PerStratum(n) | SizingPolicy::SharedTotal(n) => n > 0,
             SizingPolicy::FractionOfPrevious { fraction, initial } => {
-                assert!(
-                    fraction > 0.0 && fraction <= 1.0,
-                    "sampling fraction must be in (0, 1]"
-                );
-                assert!(initial > 0, "initial capacity must be positive");
+                fraction > 0.0 && fraction <= 1.0 && initial > 0
             }
         }
     }
@@ -113,7 +110,11 @@ impl<V> OasrsSampler<V> {
     /// Panics if the policy's budget, fraction or initial capacity is
     /// invalid (zero budget, fraction outside `(0, 1]`).
     pub fn new(sizing: SizingPolicy, seed: u64) -> Self {
-        sizing.validate();
+        assert!(
+            sizing.is_valid(),
+            "invalid sizing policy {sizing:?}: budgets and capacities must be positive, \
+             and the sampling fraction must be in (0, 1]"
+        );
         OasrsSampler {
             sizing,
             strata: Vec::new(),
@@ -313,79 +314,6 @@ impl<V> OasrsSampler<V> {
         self.strata.clear();
         self.active = 0;
     }
-
-    /// Merges another sampler's current-interval state into this one — the
-    /// paper-faithful distributed combine for shard-local OASRS samplers
-    /// that each ran at *full* per-stratum capacity over disjoint portions
-    /// of the same stream.
-    ///
-    /// Per stratum, the two reservoirs are united by the seen-count-weighted
-    /// reservoir union (the generalization of [`Reservoir::merge_with`]):
-    /// each slot of the merged reservoir is drawn from a side with
-    /// probability proportional to the population mass it still represents,
-    /// so every item either shard observed keeps the same inclusion
-    /// probability `N_i / (C_i^a + C_i^b)`. Counters sum, and the merged
-    /// capacity is the larger of the two — shards duplicate one fixed
-    /// budget rather than splitting it, unlike
-    /// [`for_worker`](OasrsSampler::for_worker)'s `N/w` scheme whose
-    /// combine is `StratifiedSample::union`.
-    ///
-    /// Strata only `other` saw are adopted wholesale (with a
-    /// [`SizingPolicy::SharedTotal`] rebalance when that overflows the
-    /// shared budget), and [`SizingPolicy::FractionOfPrevious`] capacity
-    /// plans merge by taking the larger per-stratum plan. Randomness for
-    /// the union draws comes from `self`'s RNG, so merging in a canonical
-    /// shard order keeps runs reproducible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two samplers run different sizing policies.
-    pub fn merge_with(&mut self, other: OasrsSampler<V>) {
-        assert_eq!(
-            self.sizing, other.sizing,
-            "cannot merge samplers with different sizing policies"
-        );
-        if other.strata.len() > self.strata.len() {
-            self.strata.resize_with(other.strata.len(), || None);
-        }
-        for (idx, slot) in other.strata.into_iter().enumerate() {
-            let Some(theirs) = slot else { continue };
-            match self.strata[idx].take() {
-                Some(ours) => {
-                    let capacity = ours.capacity().max(theirs.capacity());
-                    self.strata[idx] = Some(ours.merge_with(theirs, capacity, &mut self.rng));
-                }
-                None => {
-                    self.strata[idx] = Some(theirs);
-                    self.active += 1;
-                }
-            }
-        }
-        if let SizingPolicy::SharedTotal(total) = self.sizing {
-            // The two sides distributed the shared budget over *their own*
-            // active-stratum counts, so the merged per-stratum capacities
-            // can overflow the budget even when no stratum was adopted
-            // (e.g. one side had spread the budget thinner than the
-            // other). Rebalance unconditionally, exactly as a mid-interval
-            // admission does.
-            if let Some(per) = total.checked_div(self.active) {
-                let per = per.max(1);
-                for r in self.strata.iter_mut().flatten() {
-                    if r.capacity() > per {
-                        r.shrink_to(per, &mut self.rng);
-                    } else {
-                        r.grow_to(per);
-                    }
-                }
-            }
-        }
-        for (id, cap) in other.next_capacity {
-            self.next_capacity
-                .entry(id)
-                .and_modify(|c| *c = (*c).max(cap))
-                .or_insert(cap);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -572,19 +500,24 @@ mod tests {
         assert!((s.weight() - 10.0).abs() < 1e-12);
     }
 
+    /// Shards at full capacity merge their finished samples through
+    /// `merge_all_stratified`, the path the sharded engine and the
+    /// distributed coordinator run.
+    fn merge_shards(shards: [OasrsSampler<f64>; 2]) -> StratifiedSample<f64> {
+        let mut rng = SmallRng::seed_from_u64(99);
+        crate::merge_all_stratified(shards.map(|mut s| s.finish_interval()), &mut rng)
+    }
+
     #[test]
     fn merge_sums_counters_and_keeps_one_budget() {
-        // Two shards at full capacity 3 over one stratum: the merged state
+        // Two shards at full capacity 3 over one stratum: the merged sample
         // must represent all 10 arrivals with a single 3-slot reservoir,
         // giving the Equation-1 weight 10/3.
         let mut a = OasrsSampler::new(SizingPolicy::PerStratum(3), 21);
         let mut b = OasrsSampler::new(SizingPolicy::PerStratum(3), 22);
         feed(&mut a, 0, 6);
         feed(&mut b, 0, 4);
-        a.merge_with(b);
-        assert_eq!(a.total_seen(), 10);
-        assert_eq!(a.total_held(), 3);
-        let sample = a.finish_interval();
+        let sample = merge_shards([a, b]);
         let s = sample.stratum(StratumId(0)).unwrap();
         assert_eq!(s.population, 10);
         assert_eq!(s.sample_size(), 3);
@@ -598,52 +531,10 @@ mod tests {
         let mut b = OasrsSampler::new(SizingPolicy::PerStratum(4), 24);
         feed(&mut a, 0, 5);
         feed(&mut b, 7, 2);
-        a.merge_with(b);
-        assert_eq!(a.num_strata(), 2);
-        let sample = a.finish_interval();
+        let sample = merge_shards([a, b]);
+        assert_eq!(sample.num_strata(), 2);
         assert_eq!(sample.stratum(StratumId(7)).unwrap().sample_size(), 2);
         assert_eq!(sample.stratum(StratumId(0)).unwrap().population, 5);
-    }
-
-    #[test]
-    fn merge_rebalances_shared_total_budget() {
-        let mut a = OasrsSampler::new(SizingPolicy::SharedTotal(8), 25);
-        let mut b = OasrsSampler::new(SizingPolicy::SharedTotal(8), 26);
-        feed(&mut a, 0, 50);
-        feed(&mut b, 1, 50);
-        a.merge_with(b);
-        // Two strata now share the one 8-slot budget: 4 + 4.
-        assert!(a.total_held() <= 8);
-        let sample = a.finish_interval();
-        assert_eq!(sample.stratum(StratumId(0)).unwrap().sample_size(), 4);
-        assert_eq!(sample.stratum(StratumId(1)).unwrap().sample_size(), 4);
-    }
-
-    #[test]
-    fn merge_rebalances_shared_total_even_without_adopted_strata() {
-        // A spread its 8-slot budget over strata {0, 1} (4 + 4); B gave
-        // its whole budget to stratum 1 (capacity 8). The merge takes
-        // stratum 1's capacity to max(4, 8) = 8, so without an
-        // unconditional rebalance the merged sampler would hold 12 items
-        // against the 8-slot shared budget.
-        let mut a = OasrsSampler::new(SizingPolicy::SharedTotal(8), 27);
-        let mut b = OasrsSampler::new(SizingPolicy::SharedTotal(8), 28);
-        feed(&mut a, 0, 50);
-        feed(&mut a, 1, 50);
-        feed(&mut b, 1, 50);
-        a.merge_with(b);
-        assert!(a.total_held() <= 8, "held {} of budget 8", a.total_held());
-        let sample = a.finish_interval();
-        assert_eq!(sample.stratum(StratumId(0)).unwrap().sample_size(), 4);
-        assert_eq!(sample.stratum(StratumId(1)).unwrap().sample_size(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "different sizing policies")]
-    fn merge_rejects_mismatched_policies() {
-        let mut a = OasrsSampler::<f64>::new(SizingPolicy::PerStratum(3), 0);
-        let b = OasrsSampler::<f64>::new(SizingPolicy::PerStratum(4), 0);
-        a.merge_with(b);
     }
 
     #[test]

@@ -39,9 +39,8 @@
 //! drawing from the *same exact gap law*.)
 //!
 //! Because inversion uses only the public counters `(t, N)`, the skip
-//! state is valid from **any** uniform reservoir state — a fresh fill, a
-//! [`shrink_to`](Reservoir::shrink_to) re-budget, or a
-//! [`merge_with`](Reservoir::merge_with) union all simply re-arm on the
+//! state is valid from **any** uniform reservoir state — a fresh fill or a
+//! [`shrink_to`](Reservoir::shrink_to) re-budget simply re-arms on the
 //! next observation. The inclusion probabilities are exactly
 //! Algorithm 1's `N/i` (the chi-square equivalence tests below and the
 //! proptests in `tests/properties.rs` hold the selection distribution to
@@ -69,9 +68,8 @@ use rand::{PreparedUniform, Rng};
 /// If both inputs are uniform samples of their streams (inclusion
 /// probability `|a|/ca` resp. `|b|/cb`), the output is a uniform sample
 /// of the combined stream: every one of the `ca + cb` original items ends
-/// up in the union with the same probability. This one routine backs
-/// [`Reservoir::merge_with`], [`crate::OasrsSampler::merge_with`],
-/// [`crate::merge_stratum_samples`] and [`crate::merge_srs_samples`].
+/// up in the union with the same probability. This one routine backs the
+/// per-stratum step of [`crate::merge_all_stratified`].
 ///
 /// Counters saturate rather than overflow: two near-`u64::MAX` seen
 /// counts merge into a (still proportionally-drawn) saturated total
@@ -404,39 +402,6 @@ impl<T> Reservoir<T> {
     pub fn into_parts(self) -> (Vec<T>, u64) {
         (self.items, self.seen)
     }
-
-    /// Merges two reservoirs over *disjoint* streams into a single reservoir
-    /// of capacity `capacity`, preserving uniformity over the union.
-    ///
-    /// Each output slot is drawn from `self` with probability proportional
-    /// to the number of items `self` has seen (and from `other` otherwise),
-    /// without replacement — the textbook seen-count-weighted
-    /// distributed-reservoir merge. This is the
-    /// single-reservoir building block; the paper-faithful path for merging
-    /// whole *stratified* shard samples is [`crate::OasrsSampler::merge_with`]
-    /// (per-stratum weighted unions plus counter bookkeeping) and the
-    /// sample-level [`crate::merge_stratified`]. The `N/w`-capacity union of
-    /// `StratifiedSample::union` (§3.2) remains the right combine when
-    /// capacities were split across workers up front.
-    ///
-    /// The merged reservoir re-arms its skip-ahead state on the next
-    /// observation; seen counts saturate at `u64::MAX` instead of
-    /// overflowing (and a saturated counter observes further through the
-    /// exact per-item fallback).
-    pub fn merge_with<R: Rng + ?Sized>(
-        self,
-        other: Reservoir<T>,
-        capacity: usize,
-        rng: &mut R,
-    ) -> Reservoir<T> {
-        assert!(capacity > 0, "reservoir capacity must be positive");
-        let (a, ca) = self.into_parts();
-        let (b, cb) = other.into_parts();
-        let mut merged = Reservoir::new(capacity);
-        merged.seen = ca.saturating_add(cb);
-        merged.items = weighted_union(a, ca, b, cb, capacity, rng);
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -733,10 +698,9 @@ mod tests {
             for x in 10..30 {
                 rb.observe(x, &mut g);
             }
-            let merged = ra.merge_with(rb, CAP, &mut g);
+            let merged = weighted_union(ra.items, 10, rb.items, 20, CAP, &mut g);
             assert_eq!(merged.len(), CAP);
-            assert_eq!(merged.seen(), 30);
-            for &x in merged.items() {
+            for x in merged {
                 counts[x] += 1;
             }
         }
@@ -752,10 +716,8 @@ mod tests {
         let mut g = rng(8);
         let mut ra = Reservoir::new(5);
         ra.observe(1, &mut g);
-        let rb = Reservoir::new(5);
-        let merged = ra.merge_with(rb, 5, &mut g);
-        assert_eq!(merged.items(), &[1]);
-        assert_eq!(merged.seen(), 1);
+        let merged = weighted_union(ra.items, 1, Vec::new(), 0, 5, &mut g);
+        assert_eq!(merged, [1]);
     }
 
     #[test]
@@ -781,21 +743,19 @@ mod tests {
     #[test]
     fn saturated_counter_falls_back_to_per_item() {
         let mut g = rng(10);
-        let mut ra = Reservoir::new(3);
-        let mut rb = Reservoir::new(3);
+        let mut res = Reservoir::new(3);
         for x in 0..5u64 {
-            ra.observe(x, &mut g);
-            rb.observe(x + 10, &mut g);
+            res.observe(x, &mut g);
         }
-        let mut merged = ra.merge_with(rb, 3, &mut g);
-        merged.seen = u64::MAX - 50;
+        res.seen = u64::MAX - 50;
+        res.jump = None;
         for x in 0..100u64 {
-            merged.observe(x + 100, &mut g);
-            assert_eq!(merged.len(), 3);
+            res.observe(x + 100, &mut g);
+            assert_eq!(res.len(), 3);
         }
-        assert_eq!(merged.seen(), u64::MAX);
-        merged.observe_run(1_000, &mut g, |off| off);
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged.seen(), u64::MAX);
+        assert_eq!(res.seen(), u64::MAX);
+        res.observe_run(1_000, &mut g, |off| off);
+        assert_eq!(res.len(), 3);
+        assert_eq!(res.seen(), u64::MAX);
     }
 }

@@ -34,36 +34,6 @@ pub struct ScasrsStats {
     pub rejected_directly: usize,
 }
 
-impl ScasrsStats {
-    /// Accumulates the work counters of another ScaSRS pass (another
-    /// shard or partition of the same draw) — counters are additive.
-    pub fn merge(&mut self, other: ScasrsStats) {
-        self.accepted_directly += other.accepted_directly;
-        self.waitlisted += other.waitlisted;
-        self.rejected_directly += other.rejected_directly;
-    }
-}
-
-/// Merges two simple random samples drawn over *disjoint* populations into
-/// one SRS of at most `s` items over the combined population — the SRS
-/// counterpart of the per-stratum weighted reservoir union (each output
-/// slot is drawn from a side with probability proportional to the
-/// population mass it still represents).
-///
-/// Used to combine shard-local ScaSRS draws without re-sorting: if each
-/// input is uniform over its `pop`, the merge is uniform over
-/// `pop_a + pop_b`.
-pub fn merge_srs_samples<T, R: Rng + ?Sized>(
-    a: Vec<T>,
-    pop_a: u64,
-    b: Vec<T>,
-    pop_b: u64,
-    s: usize,
-    rng: &mut R,
-) -> Vec<T> {
-    crate::reservoir::weighted_union(a, pop_a, b, pop_b, s, rng)
-}
-
 /// The `(l, h)` thresholds around `p = s/n` for failure probability `delta`.
 ///
 /// `h` satisfies `P(Binomial(n, h) < s) ≤ δ` (so rejecting keys above `h`
@@ -286,47 +256,5 @@ mod tests {
     #[should_panic(expected = "population must be non-empty")]
     fn thresholds_reject_empty_population() {
         let _ = scasrs_thresholds(1, 0, SCASRS_DELTA);
-    }
-
-    #[test]
-    fn stats_merge_is_additive() {
-        let mut a = ScasrsStats {
-            accepted_directly: 1,
-            waitlisted: 2,
-            rejected_directly: 3,
-        };
-        a.merge(ScasrsStats {
-            accepted_directly: 10,
-            waitlisted: 20,
-            rejected_directly: 30,
-        });
-        assert_eq!(a.accepted_directly, 11);
-        assert_eq!(a.waitlisted, 22);
-        assert_eq!(a.rejected_directly, 33);
-    }
-
-    #[test]
-    fn merged_srs_is_uniform_over_combined_population() {
-        // Shard A sampled 4 of 10 (items 0..10), shard B 4 of 20
-        // (items 10..30); the merged 4-of-30 must include every original
-        // item with probability ~4/30.
-        const TRIALS: usize = 30_000;
-        const S: usize = 4;
-        let mut counts = [0u32; 30];
-        let mut g = rng(9);
-        for _ in 0..TRIALS {
-            let a = scasrs_sample((0..10).collect::<Vec<usize>>(), S, &mut g);
-            let b = scasrs_sample((10..30).collect::<Vec<usize>>(), S, &mut g);
-            let merged = merge_srs_samples(a, 10, b, 20, S, &mut g);
-            assert_eq!(merged.len(), S);
-            for x in merged {
-                counts[x] += 1;
-            }
-        }
-        let expected = TRIALS as f64 * S as f64 / 30.0;
-        for (x, &c) in counts.iter().enumerate() {
-            let dev = (c as f64 - expected).abs() / expected;
-            assert!(dev < 0.08, "item {x}: count {c} vs expected {expected}");
-        }
     }
 }

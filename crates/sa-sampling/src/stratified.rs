@@ -78,7 +78,7 @@ pub fn sample_by_key_exact<T, R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Panics if the two samples describe different strata.
-pub fn merge_stratum_samples<T, R: Rng + ?Sized>(
+pub(crate) fn merge_stratum_samples<T, R: Rng + ?Sized>(
     a: StratumSample<T>,
     b: StratumSample<T>,
     capacity: usize,
@@ -96,14 +96,14 @@ pub fn merge_stratum_samples<T, R: Rng + ?Sized>(
 
 /// Merges two stratified samples drawn by shard-local samplers that each
 /// ran at *full* per-stratum capacity over disjoint portions of one
-/// stream — the sample-level form of `OasrsSampler::merge_with`.
+/// stream.
 ///
 /// Strata present on both sides are united down to the larger of their two
 /// capacities by [`merge_stratum_samples`]; strata only one side saw pass
 /// through unchanged. Contrast with `StratifiedSample::union` (§3.2),
 /// which concatenates per-worker reservoirs of *split* capacity `N/w` and
 /// therefore sums capacities instead.
-pub fn merge_stratified<T, R: Rng + ?Sized>(
+pub(crate) fn merge_stratified<T, R: Rng + ?Sized>(
     a: StratifiedSample<T>,
     b: StratifiedSample<T>,
     rng: &mut R,

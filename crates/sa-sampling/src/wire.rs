@@ -9,7 +9,7 @@
 //! came from, draw for draw.
 //!
 //! Decoders enforce the same invariants the constructors do
-//! ([`Reservoir::new`] and `SizingPolicy` validation panic on violations;
+//! ([`Reservoir::new`] and [`OasrsSampler::new`] panic on violations;
 //! the wire layer reports [`SaError::Wire`] instead) plus the
 //! representation invariants a hostile payload could otherwise smuggle
 //! past them: an over-full reservoir, a seen-counter below the held count,
@@ -20,23 +20,12 @@ use crate::oasrs::{OasrsSampler, SizingPolicy, MAX_STRATUM_ID};
 use crate::reservoir::{Jump, Reservoir};
 use rand::rngs::SmallRng;
 use sa_types::wire::{put_u64_le, put_varint};
-use sa_types::{SaError, StratumId, WireDecode, WireEncode, WireReader};
+use sa_types::{wire_enum, wire_struct, SaError, StratumId, WireDecode, WireEncode, WireReader};
 use std::collections::BTreeMap;
 
-impl WireEncode for Jump {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.skip);
-    }
-}
+wire_struct!(Jump { skip });
 
-impl WireDecode for Jump {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(Jump {
-            skip: r.read_varint()?,
-        })
-    }
-}
-
+// Hand-written: the item codec is chosen at run time (`encode_state_with`).
 impl<T> Reservoir<T> {
     /// Encodes the reservoir's full state — capacity, seen counter, jump
     /// state, and held items — serializing each item through the caller's
@@ -98,6 +87,7 @@ impl<T> Reservoir<T> {
     }
 }
 
+// Hand-written: the `*_state_with` pair above, given the item's own codec.
 impl<T: WireEncode> WireEncode for Reservoir<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.encode_state_with(out, &mut |v, out| v.encode(out));
@@ -110,50 +100,13 @@ impl<T: WireDecode> WireDecode for Reservoir<T> {
     }
 }
 
-impl WireEncode for SizingPolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            SizingPolicy::PerStratum(n) => {
-                out.push(0);
-                n.encode(out);
-            }
-            SizingPolicy::SharedTotal(n) => {
-                out.push(1);
-                n.encode(out);
-            }
-            SizingPolicy::FractionOfPrevious { fraction, initial } => {
-                out.push(2);
-                fraction.encode(out);
-                initial.encode(out);
-            }
-        }
-    }
-}
+wire_enum!(SizingPolicy {
+    0 => PerStratum(n),
+    1 => SharedTotal(n),
+    2 => FractionOfPrevious { fraction, initial },
+} check SizingPolicy::is_valid);
 
-impl WireDecode for SizingPolicy {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        let policy = match r.read_u8()? {
-            0 => SizingPolicy::PerStratum(usize::decode(r)?),
-            1 => SizingPolicy::SharedTotal(usize::decode(r)?),
-            2 => SizingPolicy::FractionOfPrevious {
-                fraction: r.read_f64()?,
-                initial: usize::decode(r)?,
-            },
-            t => return Err(SaError::Wire(format!("unknown sizing policy tag {t}"))),
-        };
-        let valid = match policy {
-            SizingPolicy::PerStratum(n) | SizingPolicy::SharedTotal(n) => n > 0,
-            SizingPolicy::FractionOfPrevious { fraction, initial } => {
-                fraction > 0.0 && fraction <= 1.0 && initial > 0
-            }
-        };
-        if !valid {
-            return Err(SaError::Wire(format!("invalid sizing policy {policy:?}")));
-        }
-        Ok(policy)
-    }
-}
-
+// Hand-written: the item codec is chosen at run time (`encode_state_with`).
 impl<V> OasrsSampler<V> {
     /// Encodes the sampler's full state — sizing policy, every stratum
     /// reservoir with its jump state, the adaptive capacity plan, and the
@@ -253,6 +206,7 @@ impl<V> OasrsSampler<V> {
     }
 }
 
+// Hand-written: the `*_state_with` pair above, given the item's own codec.
 impl<V: WireEncode> WireEncode for OasrsSampler<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.encode_state_with(out, &mut |v, out| v.encode(out));

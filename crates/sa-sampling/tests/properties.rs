@@ -8,7 +8,7 @@ use sa_sampling::{
     merge_all_stratified, sample_by_key_exact, scasrs_sample, scasrs_sample_with_stats,
     scasrs_thresholds, OasrsSampler, Reservoir, SizingPolicy, SCASRS_DELTA,
 };
-use sa_types::StratumId;
+use sa_types::{StratumId, StratumSample};
 use std::collections::HashMap;
 
 proptest! {
@@ -82,9 +82,14 @@ proptest! {
         for x in 1_000..(1_000 + nb as u32) {
             b.observe(x, &mut rng);
         }
-        let merged = a.merge_with(b, cap, &mut rng);
-        prop_assert_eq!(merged.seen(), (na + nb) as u64);
-        prop_assert_eq!(merged.len(), (na + nb).min(cap).min(na.min(cap) + nb.min(cap)));
+        let shard = |r: Reservoir<u32>| {
+            let (items, seen) = r.into_parts();
+            [StratumSample::new(StratumId(0), items, seen, cap)].into_iter().collect()
+        };
+        let merged = merge_all_stratified([shard(a), shard(b)], &mut rng);
+        prop_assert_eq!(merged.total_population(), (na + nb) as u64);
+        let held = merged.total_sampled() as usize;
+        prop_assert_eq!(held, (na + nb).min(cap).min(na.min(cap) + nb.min(cap)));
     }
 
     /// OASRS bookkeeping: per-stratum counters equal arrivals, sample sizes
@@ -286,10 +291,10 @@ proptest! {
     }
 
     /// OASRS merge bookkeeping: for every pair of shard-local streams,
-    /// `merge_with` sums per-stratum populations, holds the merged sample
-    /// at `min(C_i, N)` for the one shared budget `N`, keeps the items a
-    /// sub-multiset of what the shards actually sent, and yields
-    /// Equation-1 weights over the combined counters.
+    /// merging their finished samples sums per-stratum populations, holds
+    /// the merged sample at `min(C_i, N)` for the one shared budget `N`,
+    /// keeps the items a sub-multiset of what the shards actually sent, and
+    /// yields Equation-1 weights over the combined counters.
     #[test]
     fn oasrs_merge_preserves_counters_and_membership(
         arrivals_a in proptest::collection::vec(0u32..5, 0..300),
@@ -309,8 +314,8 @@ proptest! {
             b.observe(StratumId(s), v);
             sent.entry(s).or_default().push(v);
         }
-        a.merge_with(b);
-        let merged = a.finish_interval();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let merged = merge_all_stratified([a.finish_interval(), b.finish_interval()], &mut rng);
         prop_assert_eq!(merged.num_strata(), sent.len());
         for (&s, stream) in &sent {
             let st = merged.stratum(StratumId(s)).unwrap();
@@ -324,7 +329,7 @@ proptest! {
         }
     }
 
-    /// `merge_with` is commutative under canonical ordering: whichever
+    /// Merging is commutative under canonical ordering: whichever
     /// side absorbs the other, every per-stratum counter of the merged
     /// sample — population, capacity, sample size, weight — is identical
     /// (the selected items differ only by the RNG draw).
@@ -340,13 +345,12 @@ proptest! {
             for (i, &st) in arrivals.iter().enumerate() {
                 o.observe(StratumId(st), i as f64);
             }
-            o
+            o.finish_interval()
         };
-        let mut ab = build(&arrivals_a, seed);
-        ab.merge_with(build(&arrivals_b, seed ^ 1));
-        let mut ba = build(&arrivals_b, seed ^ 1);
-        ba.merge_with(build(&arrivals_a, seed));
-        let (ab, ba) = (ab.finish_interval(), ba.finish_interval());
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (a, b) = (build(&arrivals_a, seed), build(&arrivals_b, seed ^ 1));
+        let ab = merge_all_stratified([a.clone(), b.clone()], &mut rng);
+        let ba = merge_all_stratified([b, a], &mut rng);
         prop_assert_eq!(ab.num_strata(), ba.num_strata());
         for (x, y) in ab.iter().zip(ba.iter()) {
             prop_assert_eq!(x.stratum, y.stratum);
@@ -438,8 +442,8 @@ fn merged_oasrs_samples_preserve_mean_variance_and_uniformity() {
         for &v in &values[24..] {
             b.observe(StratumId(0), v);
         }
-        a.merge_with(b);
-        let merged = a.finish_interval();
+        let mut rng = SmallRng::seed_from_u64((t as u64) ^ 0x5EED);
+        let merged = merge_all_stratified([a.finish_interval(), b.finish_interval()], &mut rng);
         let s = merged.stratum(StratumId(0)).unwrap();
         assert_eq!(s.population, STREAM as u64);
         assert_eq!(s.sample_size(), CAP);

@@ -3,15 +3,15 @@
 //! The distributed tier's correctness rests on one guarantee: a sampler
 //! that crossed the wire is *the same sampler* — not just equal-looking,
 //! but continuing the identical random stream and merging identically.
-//! These properties drive samplers through arbitrary fill/shrink/merge
+//! These properties drive samplers through arbitrary fill/shrink/grow
 //! histories and check `decode(encode(x))` against `x` in all three
 //! senses: structural equality, future draws, and merge results.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sa_sampling::{OasrsSampler, Reservoir, SizingPolicy};
-use sa_types::{StratumId, WireDecode, WireEncode};
+use sa_sampling::{merge_all_stratified, OasrsSampler, Reservoir, SizingPolicy};
+use sa_types::{StratumId, StratumSample, WireDecode, WireEncode};
 
 /// Builds a reservoir by replaying a history of observe/shrink/grow ops.
 fn build_reservoir(history: &[(u8, u32)], cap: usize, rng: &mut SmallRng) -> Reservoir<f64> {
@@ -101,16 +101,23 @@ proptest! {
         let b = build_reservoir(&hb, cap, &mut rng);
         let a2 = Reservoir::<f64>::from_wire_bytes(&a.to_wire_bytes()).unwrap();
         let b2 = Reservoir::<f64>::from_wire_bytes(&b.to_wire_bytes()).unwrap();
-        let mut m1 = SmallRng::seed_from_u64(seed ^ 1);
-        let mut m2 = SmallRng::seed_from_u64(seed ^ 1);
-        let merged_orig = a.merge_with(b, cap, &mut m1);
-        let merged_wire = a2.merge_with(b2, cap, &mut m2);
-        prop_assert_eq!(merged_wire, merged_orig);
+        let merge = |a: Reservoir<f64>, b: Reservoir<f64>| {
+            let shard = |r: Reservoir<f64>| {
+                let capacity = r.capacity();
+                let (items, seen) = r.into_parts();
+                [StratumSample::new(StratumId(0), items, seen, capacity)]
+                    .into_iter()
+                    .collect()
+            };
+            merge_all_stratified([shard(a), shard(b)], &mut SmallRng::seed_from_u64(seed ^ 1))
+        };
+        prop_assert_eq!(merge(a2, b2), merge(a, b));
     }
 
     /// An OASRS sampler with an arbitrary multi-interval history under any
     /// sizing policy round-trips exactly — including RNG and capacity
-    /// plans — so decode-then-merge equals merging the originals.
+    /// plans — so finishing and merging the decoded samplers equals
+    /// finishing and merging the originals.
     #[test]
     fn oasrs_decode_then_merge_equals_merging_originals(
         ha in proptest::collection::vec((0u8..8, 0u32..1_000), 0..10),
@@ -126,12 +133,10 @@ proptest! {
         let b2 = OasrsSampler::<f64>::from_wire_bytes(&b.to_wire_bytes()).unwrap();
         prop_assert_eq!(&a2, &a);
         prop_assert_eq!(&b2, &b);
-        let mut merged_orig = a;
-        merged_orig.merge_with(b);
-        let mut merged_wire = a2;
-        merged_wire.merge_with(b2);
-        prop_assert_eq!(&merged_wire, &merged_orig);
-        // And the merged samplers still agree after finishing the interval.
-        prop_assert_eq!(merged_wire.finish_interval(), merged_orig.finish_interval());
+        let merge = |mut a: OasrsSampler<f64>, mut b: OasrsSampler<f64>| {
+            let mut rng = SmallRng::seed_from_u64(seed ^ 1);
+            merge_all_stratified([a.finish_interval(), b.finish_interval()], &mut rng)
+        };
+        prop_assert_eq!(merge(a2, b2), merge(a, b));
     }
 }

@@ -30,10 +30,12 @@
 //!   named in [`EngineSnapshot::engine`]; an engine must refuse a snapshot
 //!   carrying another engine's name rather than guess at the layout.
 
-use crate::error::SaError;
 use crate::item::EventTime;
 use crate::session::IngestCounters;
-use crate::wire::{put_varint, WireDecode, WireEncode, WireReader};
+use crate::wire::bytes;
+use crate::wire_struct;
+#[cfg(doc)]
+use crate::{SaError, WireEncode};
 
 /// When a session should take its next checkpoint: a pane-interval cadence
 /// plus a hard bound on unsnapshotted items.
@@ -120,28 +122,7 @@ pub struct EngineSnapshot {
     pub state: Vec<u8>,
 }
 
-impl WireEncode for EngineSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.engine.encode(out);
-        self.pane.encode(out);
-        put_varint(out, self.state.len() as u64);
-        out.extend_from_slice(&self.state);
-    }
-}
-
-impl WireDecode for EngineSnapshot {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        let engine = String::decode(r)?;
-        let pane = Option::<i64>::decode(r)?;
-        let len = r.read_len()?;
-        let state = r.read_bytes(len)?.to_vec();
-        Ok(EngineSnapshot {
-            engine,
-            pane,
-            state,
-        })
-    }
-}
+wire_struct!(EngineSnapshot { engine, pane, state with bytes });
 
 /// Everything a crashed session needs to resume within its error bounds:
 /// the engine snapshot plus the session-level bookkeeping around it.
@@ -168,33 +149,20 @@ pub struct SessionSnapshot {
     pub replay: Vec<(usize, u64)>,
 }
 
-impl WireEncode for SessionSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.engine.encode(out);
-        self.watermark.encode(out);
-        self.ingest.encode(out);
-        put_varint(out, self.items_pushed);
-        put_varint(out, self.windows_completed);
-        self.replay.encode(out);
-    }
-}
-
-impl WireDecode for SessionSnapshot {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(SessionSnapshot {
-            engine: EngineSnapshot::decode(r)?,
-            watermark: Option::<EventTime>::decode(r)?,
-            ingest: IngestCounters::decode(r)?,
-            items_pushed: r.read_varint()?,
-            windows_completed: r.read_varint()?,
-            replay: Vec::<(usize, u64)>::decode(r)?,
-        })
-    }
-}
+wire_struct!(SessionSnapshot {
+    engine,
+    watermark,
+    ingest,
+    items_pushed,
+    windows_completed,
+    replay,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::put_varint;
+    use crate::{SaError, WireDecode, WireEncode};
 
     fn sample_snapshot() -> SessionSnapshot {
         SessionSnapshot {

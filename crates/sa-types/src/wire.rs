@@ -25,6 +25,19 @@
 //! Versioning lives one layer up, in the frame header (`sa-net`): a frame
 //! carries the format version for its whole payload, so individual values
 //! stay tag-free and compact.
+//!
+//! # Declaring a layout
+//!
+//! A type whose layout is a plain field sequence or a tag table declares it
+//! once, with [`wire_struct!`](crate::wire_struct) or
+//! [`wire_enum!`](crate::wire_enum): one field list (or tag table) writes
+//! both the encoder and the decoder, so the two halves cannot drift apart
+//! and a field added to the type without a place in the layout does not
+//! compile. New layouts use the macros. A hand-written codec is the
+//! exception and says why at its site — today: the primitives and
+//! containers the macros compose, newtypes read through accessors, types
+//! built through validating constructors, and generic containers that
+//! check order across elements.
 
 use crate::budget::{Confidence, SizingDirective};
 use crate::error::SaError;
@@ -250,7 +263,179 @@ pub fn put_u64_le(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Writes both codec halves of a struct from one field list, in wire order.
+///
+/// `wire_struct!(Type { a, b, c })` encodes `self.a`, `self.b`, `self.c`
+/// in list order through [`WireEncode`] and decodes
+/// `Type { a: WireDecode::decode(r)?, … }`; each field's type comes from
+/// the struct definition, and Rust evaluates struct-literal fields in the
+/// order written, so the list *is* the layout. A field followed by
+/// `with path` goes through `path::encode` / `path::decode` instead
+/// (serde's `with`; [`bytes`] is the one codec of that kind). A trailing
+/// `check f` runs `f: fn(&Type) -> bool` on the decoded value and turns
+/// `false` into [`SaError::Wire`].
+///
+/// ```
+/// use sa_types::{wire_struct, WireDecode, WireEncode};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span {
+///     lo: u64,
+///     hi: u64,
+/// }
+/// wire_struct!(Span { lo, hi } check |s| s.lo <= s.hi);
+///
+/// let span = Span { lo: 1, hi: 300 };
+/// assert_eq!(span.to_wire_bytes(), [1, 0xAC, 0x02]);
+/// assert_eq!(Span::from_wire_bytes(&span.to_wire_bytes()).unwrap(), span);
+/// assert!(Span::from_wire_bytes(&[2, 1]).is_err()); // lo > hi
+/// ```
+///
+/// A struct field missing from the list is a compile error, so a field
+/// cannot be added without a place in the layout:
+///
+/// ```compile_fail,E0063
+/// use sa_types::wire_struct;
+///
+/// struct Span {
+///     lo: u64,
+///     hi: u64,
+/// }
+/// wire_struct!(Span { lo });
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident $(with $($codec:ident)::+)?),* $(,)? } $(check $check:expr)?) => {
+        impl $crate::WireEncode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::__wire_field!(encode out, &self.$field $(, $($codec)::+)?);)*
+            }
+        }
+        impl $crate::WireDecode for $ty {
+            fn decode(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::SaError> {
+                let value = $ty {
+                    $($field: $crate::__wire_field!(decode r $field $(with $($codec)::+)?),)*
+                };
+                $crate::__wire_field!(check $ty value $($check)?);
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Writes both codec halves of an enum from one explicit `u8` tag table.
+///
+/// Each entry maps a tag to a unit (`4 => Everything`), tuple
+/// (`1 => Fraction(f)`) or struct (`0 => HelloJoin { worker, wants_results }`)
+/// variant; the tag byte comes first, then the variant's fields in the order
+/// listed, each as in [`wire_struct!`](crate::wire_struct) (including
+/// `with`). An unknown tag, or a decoded value that fails the optional
+/// trailing `check`, is [`SaError::Wire`].
+///
+/// ```
+/// use sa_types::{wire_enum, WireDecode, WireEncode};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Circle(u64),
+///     Rect { w: u64, h: u64 },
+/// }
+/// wire_enum!(Shape { 0 => Dot, 1 => Circle(r), 2 => Rect { w, h } });
+///
+/// assert_eq!(Shape::Rect { w: 3, h: 4 }.to_wire_bytes(), [2, 3, 4]);
+/// assert_eq!(Shape::from_wire_bytes(&[1, 9]).unwrap(), Shape::Circle(9));
+/// assert!(Shape::from_wire_bytes(&[3]).is_err()); // unknown tag
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident {
+        $($tag:literal => $variant:ident
+            $(($($bind:ident),* $(,)?))?
+            $({ $($field:ident $(with $($codec:ident)::+)?),* $(,)? })?
+        ),* $(,)?
+    } $(check $check:expr)?) => {
+        impl $crate::WireEncode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($($bind),*))? $({ $($field),* })? => {
+                        out.push($tag);
+                        $($($crate::__wire_field!(encode out, $bind);)*)?
+                        $($($crate::__wire_field!(encode out, $field $(, $($codec)::+)?);)*)?
+                    })*
+                }
+            }
+        }
+        impl $crate::WireDecode for $ty {
+            fn decode(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::SaError> {
+                let value = match r.read_u8()? {
+                    $($tag => $ty::$variant
+                        $(($($crate::__wire_field!(decode r $bind)),*))?
+                        $({ $($field: $crate::__wire_field!(decode r $field $(with $($codec)::+)?)),* })?,)*
+                    tag => {
+                        return Err($crate::SaError::Wire(format!(
+                            concat!("unknown ", stringify!($ty), " tag {}"),
+                            tag
+                        )))
+                    }
+                };
+                $crate::__wire_field!(check $ty value $($check)?);
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// One field's half of a codec, for [`wire_struct!`](crate::wire_struct)
+/// and [`wire_enum!`](crate::wire_enum); not for direct use.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_field {
+    (encode $out:ident, $value:expr, $($codec:ident)::+) => { $($codec)::+::encode($value, $out) };
+    (encode $out:ident, $value:expr) => { $crate::WireEncode::encode($value, $out) };
+    (decode $r:ident $name:ident with $($codec:ident)::+) => { $($codec)::+::decode($r)? };
+    (decode $r:ident $name:ident) => { $crate::WireDecode::decode($r)? };
+    (check $ty:ident $value:ident $($check:expr)?) => {$(
+        let valid: fn(&$ty) -> bool = $check;
+        if !valid(&$value) {
+            return Err($crate::SaError::Wire(
+                concat!("decoded ", stringify!($ty), " fails `", stringify!($check), "`").to_string(),
+            ));
+        }
+    )?};
+}
+
+/// The bulk codec for opaque byte payloads (nested sealed snapshots,
+/// engine state), used as `field with bytes`: a varint length, then the
+/// raw bytes copied in one piece. The bytes are those `Vec<u8>`'s own
+/// codec writes; only the decoder differs, reading the payload as one
+/// slice instead of byte by byte.
+pub mod bytes {
+    use super::{put_varint, SaError, WireReader};
+
+    /// Appends the length prefix and the bytes.
+    pub fn encode(bytes: &[u8], out: &mut Vec<u8>) {
+        put_varint(out, bytes.len() as u64);
+        out.extend_from_slice(bytes);
+    }
+
+    /// Reads a length-prefixed payload; the length is checked against the
+    /// input before anything is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SaError::Wire`] on a malformed or impossible length.
+    pub fn decode(r: &mut WireReader<'_>) -> Result<Vec<u8>, SaError> {
+        let len = r.read_len()?;
+        Ok(r.read_bytes(len)?.to_vec())
+    }
+}
+
 // ---- primitive impls -------------------------------------------------------
+//
+// Hand-written: these are the encoding rules above (varints, zigzag, raw
+// IEEE bits, length prefixes, presence tags) that every declared layout
+// composes.
 
 impl WireEncode for bool {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -419,6 +604,7 @@ impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
 
 // ---- domain impls ----------------------------------------------------------
 
+// Hand-written: a newtype, encoded as the `u32` inside it.
 impl WireEncode for StratumId {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -431,6 +617,7 @@ impl WireDecode for StratumId {
     }
 }
 
+// Hand-written: a newtype read through its accessor.
 impl WireEncode for EventTime {
     fn encode(&self, out: &mut Vec<u8>) {
         put_zigzag(out, self.as_millis());
@@ -443,6 +630,7 @@ impl WireDecode for EventTime {
     }
 }
 
+// Hand-written: a newtype read through its accessor.
 impl WireEncode for RunSeed {
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.value());
@@ -455,6 +643,7 @@ impl WireDecode for RunSeed {
     }
 }
 
+// Hand-written: built through its validating constructor.
 impl WireEncode for Window {
     fn encode(&self, out: &mut Vec<u8>) {
         self.start.encode(out);
@@ -475,6 +664,7 @@ impl WireDecode for Window {
     }
 }
 
+// Hand-written: built through its validating constructor.
 impl WireEncode for WindowSpec {
     fn encode(&self, out: &mut Vec<u8>) {
         put_zigzag(out, self.size_millis());
@@ -495,27 +685,9 @@ impl WireDecode for WindowSpec {
     }
 }
 
-impl WireEncode for Confidence {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Confidence::P68 => 0,
-            Confidence::P95 => 1,
-            Confidence::P997 => 2,
-        });
-    }
-}
+wire_enum!(Confidence { 0 => P68, 1 => P95, 2 => P997 });
 
-impl WireDecode for Confidence {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        match r.read_u8()? {
-            0 => Ok(Confidence::P68),
-            1 => Ok(Confidence::P95),
-            2 => Ok(Confidence::P997),
-            t => Err(SaError::Wire(format!("unknown confidence tag {t}"))),
-        }
-    }
-}
-
+// Hand-written: built through its validating constructor.
 impl WireEncode for ErrorBound {
     fn encode(&self, out: &mut Vec<u8>) {
         self.margin().encode(out);
@@ -536,128 +708,46 @@ impl WireDecode for ErrorBound {
     }
 }
 
-impl WireEncode for ApproxResult {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.value.encode(out);
-        self.bound.encode(out);
-        put_varint(out, self.sample_size);
-        put_varint(out, self.population_size);
-    }
-}
-
-impl WireDecode for ApproxResult {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(ApproxResult {
-            value: r.read_f64()?,
-            bound: ErrorBound::decode(r)?,
-            sample_size: r.read_varint()?,
-            population_size: r.read_varint()?,
-        })
-    }
-}
+wire_struct!(ApproxResult {
+    value,
+    bound,
+    sample_size,
+    population_size
+});
 
 // Sealed snapshots store these tags (engine sampler pools), so the table
 // is fixed at 1–4 for as long as `SNAPSHOT_VERSION` is 2.
-impl WireEncode for SizingDirective {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            SizingDirective::Fraction(f) => {
-                out.push(1);
-                f.encode(out);
-            }
-            SizingDirective::PerStratum(n) => {
-                out.push(2);
-                n.encode(out);
-            }
-            SizingDirective::SharedTotal(n) => {
-                out.push(3);
-                n.encode(out);
-            }
-            SizingDirective::Everything => out.push(4),
-        }
-    }
-}
+wire_enum!(SizingDirective {
+    1 => Fraction(f),
+    2 => PerStratum(n),
+    3 => SharedTotal(n),
+    4 => Everything,
+} check SizingDirective::is_valid);
 
-impl WireDecode for SizingDirective {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        let directive = match r.read_u8()? {
-            1 => SizingDirective::Fraction(r.read_f64()?),
-            2 => SizingDirective::PerStratum(usize::decode(r)?),
-            3 => SizingDirective::SharedTotal(usize::decode(r)?),
-            4 => SizingDirective::Everything,
-            t => return Err(SaError::Wire(format!("unknown sizing-directive tag {t}"))),
-        };
-        if !directive.is_valid() {
-            return Err(SaError::Wire(format!("invalid directive {directive:?}")));
-        }
-        Ok(directive)
-    }
-}
+wire_struct!(WindowResult {
+    window,
+    sum,
+    mean,
+    sum_by_stratum,
+    mean_by_stratum,
+    degraded,
+    lost_items,
+});
 
-impl WireEncode for WindowResult {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.window.encode(out);
-        self.sum.encode(out);
-        self.mean.encode(out);
-        self.sum_by_stratum.encode(out);
-        self.mean_by_stratum.encode(out);
-        self.degraded.encode(out);
-        put_varint(out, self.lost_items);
-    }
-}
+wire_struct!(IngestCounters {
+    ingested,
+    dropped_late
+});
 
-impl WireDecode for WindowResult {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(WindowResult {
-            window: Window::decode(r)?,
-            sum: ApproxResult::decode(r)?,
-            mean: ApproxResult::decode(r)?,
-            sum_by_stratum: Vec::decode(r)?,
-            mean_by_stratum: Vec::decode(r)?,
-            degraded: bool::decode(r)?,
-            lost_items: r.read_varint()?,
-        })
-    }
-}
+wire_struct!(ShardIngest {
+    shard,
+    ingested,
+    sampled,
+    chunks_routed,
+    chunks_recycled,
+});
 
-impl WireEncode for IngestCounters {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.ingested);
-        put_varint(out, self.dropped_late);
-    }
-}
-
-impl WireDecode for IngestCounters {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(IngestCounters {
-            ingested: r.read_varint()?,
-            dropped_late: r.read_varint()?,
-        })
-    }
-}
-
-impl WireEncode for ShardIngest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.shard.encode(out);
-        put_varint(out, self.ingested);
-        put_varint(out, self.sampled);
-        put_varint(out, self.chunks_routed);
-        put_varint(out, self.chunks_recycled);
-    }
-}
-
-impl WireDecode for ShardIngest {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, SaError> {
-        Ok(ShardIngest {
-            shard: usize::decode(r)?,
-            ingested: r.read_varint()?,
-            sampled: r.read_varint()?,
-            chunks_routed: r.read_varint()?,
-            chunks_recycled: r.read_varint()?,
-        })
-    }
-}
-
+// Hand-written: generic, and checks its item count against its population.
 impl<V: WireEncode> WireEncode for StratumSample<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.stratum.encode(out);
@@ -688,6 +778,7 @@ impl<V: WireDecode> WireDecode for StratumSample<V> {
     }
 }
 
+// Hand-written: generic, and enforces ascending stratum order across elements.
 impl<V: WireEncode> WireEncode for StratifiedSample<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.num_strata() as u64);

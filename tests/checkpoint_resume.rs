@@ -426,6 +426,8 @@ fn file_store_round_trips_a_kill_restore() {
         .push_batch(stream[..split].iter().copied())
         .expect("in order");
     let bytes = first.checkpoint_to(&mut store).expect("seal and save");
+    // The stored frame is the one the session measured and reports.
+    assert_eq!(bytes, first.status().snapshot_bytes);
     drop(first);
 
     let sealed = store.load().expect("readable").expect("saved");

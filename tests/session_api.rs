@@ -352,7 +352,13 @@ fn far_future_item_is_bounded_work_on_every_engine() {
 fn extreme_timestamps_are_refused_or_bounded_on_every_engine() {
     use std::time::{Duration, Instant};
 
-    let engines = push_driven_engines();
+    fn pipelined(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
+        StreamApprox::new(query(), policy)
+            .pipelined(PipelinedConfig::new())
+            .start()
+    }
+    let pipelined: (&str, Start) = ("pipelined", pipelined);
+    let engines = push_driven_engines().into_iter().chain([pipelined]);
     // (first, second, which of the two a per-item push must accept).
     let pairs = [
         (
