@@ -24,8 +24,7 @@ use crate::cost::{PolicyHandle, SizingDirective};
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
-use crate::runtime::{ApproxRuntime, ExactAccumulator, PaneDriver, PaneSink};
-use sa_estimate::StratumStats;
+use crate::runtime::{sampler_pane_stats, ApproxRuntime, ExactAccumulator, PaneDriver, PaneSink};
 use sa_sampling::OasrsSampler;
 use sa_types::wire::put_varint;
 use sa_types::{
@@ -195,12 +194,7 @@ impl<R> PaneSink<R> for AggregatedSink<'_, R> {
         let closing = Instant::now();
         let stats = match std::mem::replace(&mut self.state, PaneState::Idle) {
             PaneState::Sampling(mut sampler) => {
-                let sample = sampler.finish_interval();
-                let proj = &self.proj;
-                let stats = sample
-                    .iter()
-                    .map(|stratum| StratumStats::from_sample(stratum, |r| proj(r)))
-                    .collect();
+                let stats = sampler_pane_stats(&mut sampler, &*self.proj);
                 self.runtime.checkin_samplers(vec![sampler]);
                 stats
             }

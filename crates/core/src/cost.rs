@@ -31,6 +31,30 @@ pub trait CostPolicy: Send {
     fn observe(&mut self, feedback: &IntervalFeedback) {
         let _ = feedback;
     }
+
+    /// Whether [`interval_sizing`](CostPolicy::interval_sizing) returns
+    /// the same directive for the whole run, whatever feedback it
+    /// observes. The pipelined engine and the distributed coordinator
+    /// consult the policy once, at start, so they refuse a policy that is
+    /// not static instead of freezing it at its first directive.
+    ///
+    /// The default is `false`: a policy that does not say otherwise is
+    /// taken to adapt, so those engines refuse it loudly rather than
+    /// freeze it silently. A fixed custom policy overrides this to run on
+    /// them.
+    fn is_static(&self) -> bool {
+        false
+    }
+}
+
+/// The refusal of a non-static policy by an engine that consults its
+/// cost policy only once (see [`CostPolicy::is_static`]).
+pub(crate) fn frozen_policy(engine: &str) -> SaError {
+    SaError::InvalidBudget(format!(
+        "the {engine} engine consults the cost policy once, at start, and would freeze an \
+         adaptive policy at its first directive; use a static policy (FixedFraction, \
+         FixedPerStratum, TokenPolicy) or the aggregated, batched or sharded engine"
+    ))
 }
 
 /// A cost policy held either by borrow or by value, so run wrappers can
@@ -60,6 +84,13 @@ impl CostPolicy for PolicyHandle<'_> {
         match self {
             PolicyHandle::Borrowed(p) => p.observe(feedback),
             PolicyHandle::Owned(p) => p.observe(feedback),
+        }
+    }
+
+    fn is_static(&self) -> bool {
+        match self {
+            PolicyHandle::Borrowed(p) => p.is_static(),
+            PolicyHandle::Owned(p) => p.is_static(),
         }
     }
 }
@@ -104,6 +135,10 @@ impl CostPolicy for FixedFraction {
             SizingDirective::Fraction(self.0)
         }
     }
+
+    fn is_static(&self) -> bool {
+        true
+    }
 }
 
 /// Fixed per-stratum reservoir capacity — the paper's fixed-size-reservoir
@@ -114,6 +149,10 @@ pub struct FixedPerStratum(pub usize);
 impl CostPolicy for FixedPerStratum {
     fn interval_sizing(&mut self) -> SizingDirective {
         SizingDirective::PerStratum(self.0)
+    }
+
+    fn is_static(&self) -> bool {
+        true
     }
 }
 
@@ -272,6 +311,10 @@ impl CostPolicy for TokenPolicy {
         SizingDirective::SharedTotal(
             ((self.tokens_per_interval / self.tokens_per_item) as usize).max(1),
         )
+    }
+
+    fn is_static(&self) -> bool {
+        true
     }
 }
 

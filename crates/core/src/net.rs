@@ -96,7 +96,7 @@
 
 use crate::checkpoint::{open_session_snapshot, require_codec, require_engine, RecordCodec};
 use crate::combine::PanePayload;
-use crate::cost::SizingDirective;
+use crate::cost::{frozen_policy, CostPolicy, SizingDirective};
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::runtime::{
@@ -609,7 +609,7 @@ impl DistributedSession {
     pub(crate) fn start(
         window: WindowSpec,
         confidence: Confidence,
-        directive: SizingDirective,
+        policy: &mut dyn CostPolicy,
         config: DistributedConfig,
     ) -> Result<Self, SaError> {
         if config.workers == 0 {
@@ -617,11 +617,17 @@ impl DistributedSession {
                 "a distributed session needs at least one worker".to_string(),
             ));
         }
+        // The one consultation: the directive goes into every worker's
+        // assignment and stays fixed for the run.
+        let directive = policy.interval_sizing();
         if !directive.is_valid() {
             return Err(SaError::InvalidConfig(format!(
                 "invalid sizing directive {directive:?}: a fraction must be in (0, 1] and a \
                  budget positive"
             )));
+        }
+        if !policy.is_static() {
+            return Err(frozen_policy("distributed"));
         }
         let fault = config.fault;
         if fault.heartbeat_interval.is_zero()

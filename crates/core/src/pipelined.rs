@@ -16,7 +16,7 @@
 //! window assembly in the shared [`crate::runtime::WindowFinalizer`].
 
 use crate::combine::PanePayload;
-use crate::cost::CostPolicy;
+use crate::cost::{frozen_policy, CostPolicy};
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
@@ -262,9 +262,10 @@ impl Operator<StageOut, RunnerOut> for WindowEstimator {
 
 /// Runs one pipelined system over a recorded stream.
 ///
-/// The cost policy is consulted once at startup for its sizing directive;
-/// within the run, OASRS's own per-interval adaptation (capacity follows
-/// `fraction × previous arrivals`) provides the adaptivity of §4.2.2.
+/// The cost policy is consulted once at startup for its sizing directive,
+/// so it must be static ([`CostPolicy::is_static`]); within the run,
+/// OASRS's own per-interval adaptation (capacity follows `fraction ×
+/// previous arrivals`) provides the adaptivity of §4.2.2.
 ///
 /// This is the one-shot convenience over an incremental
 /// [`crate::ApproxSession`]: it derives the first-pane volume hint from
@@ -275,7 +276,8 @@ impl Operator<StageOut, RunnerOut> for WindowEstimator {
 ///
 /// # Panics
 ///
-/// Panics if `items` is not in non-decreasing event-time order.
+/// Panics if `items` is not in non-decreasing event-time order, or if a
+/// sampling system runs under a policy that is not static.
 #[must_use = "the run's windows and metrics are its only product"]
 pub fn run_pipelined<R>(
     config: &PipelinedConfig,
@@ -302,7 +304,7 @@ where
         .start();
     session
         .push_batch(items)
-        .expect("recorded streams are event-time ordered");
+        .expect("a recorded stream is event-time ordered and its policy static");
     session.finish()
 }
 
@@ -320,6 +322,9 @@ pub(crate) struct PipelinedEngine<R: Send + 'static> {
     /// needs to be [`representable`].
     pane_ms: i64,
     horizon_ms: i64,
+    /// Set when the policy is not static: the engine consults it once, so
+    /// every push is refused rather than run under a frozen directive.
+    refused: Option<SaError>,
     started: Instant,
     ingested: u64,
     aggregated: u64,
@@ -342,10 +347,12 @@ where
         let seed = config.seed;
         let confidence = query.confidence();
         let window_spec = query.window();
-        let sizing = if matches!(system, PipelinedSystem::Native) {
-            None
-        } else {
+        let consults = !matches!(system, PipelinedSystem::Native);
+        let refused = (consults && !policy.is_static()).then(|| frozen_policy("pipelined"));
+        let sizing = if consults {
             sampler_sizing(policy.interval_sizing(), config.expected_pane_items, w)
+        } else {
+            None
         };
 
         let (source, flow) = Flow::source_push(WATERMARK_INTERVAL_MS);
@@ -372,6 +379,7 @@ where
             sink,
             pane_ms,
             horizon_ms: skip_horizon_ms(window_spec),
+            refused,
             started,
             ingested: 0,
             aggregated: 0,
@@ -407,11 +415,17 @@ where
     R: Send + Sync + 'static,
 {
     fn push(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
+        if let Some(err) = &self.refused {
+            return Err(err.clone());
+        }
         representable(item.time, self.pane_ms, self.horizon_ms)?;
         self.source.push(item)
     }
 
     fn push_chunk(&mut self, items: Vec<StreamItem<R>>) -> Result<(), SaError> {
+        if let Some(err) = &self.refused {
+            return Err(err.clone());
+        }
         // The chunk is time-ordered, so its ends bound every item: refuse
         // it whole rather than ingest a prefix of it.
         for end in [items.first(), items.last()].into_iter().flatten() {

@@ -175,6 +175,27 @@ impl<R> ExactAccumulator<R> {
     }
 }
 
+/// Closes a sampler's interval into per-stratum statistics, folding each
+/// stratum's lent sample in place (see
+/// [`OasrsSampler::finish_interval_with`]): no `StratifiedSample` is built
+/// and no item buffer is freed. The pane close of every stats-producing
+/// sampling path — the aggregated engine's and
+/// [`IntervalWorker::close_interval`] — is this one function.
+pub(crate) fn sampler_pane_stats<R>(
+    sampler: &mut OasrsSampler<R>,
+    proj: &dyn Fn(&R) -> f64,
+) -> Vec<StratumStats> {
+    let mut stats = Vec::with_capacity(sampler.num_strata());
+    sampler.finish_interval_with(|stratum, items, seen, _capacity| {
+        let mut acc = Welford::new();
+        for item in items {
+            acc.push(proj(item));
+        }
+        stats.push(StratumStats::from_parts(stratum, seen, acc));
+    });
+    stats
+}
+
 enum WorkerKind<R> {
     Sampling(OasrsSampler<R>),
     Exact(ExactAccumulator<R>),
@@ -306,16 +327,12 @@ impl<R> IntervalWorker<R> {
     /// Closes the current interval into per-stratum statistics and re-arms
     /// for the next one.
     pub fn close_interval(&mut self) -> Vec<StratumStats> {
-        match self.close_interval_parts() {
-            WorkerPane::Sampled(sample) => {
-                let proj = &self.proj;
-                sample
-                    .iter()
-                    .map(|stratum| StratumStats::from_sample(stratum, |r| proj(r)))
-                    .collect()
-            }
-            WorkerPane::Exact(stats) => stats,
-        }
+        let stats = match &mut self.kind {
+            WorkerKind::Sampling(sampler) => sampler_pane_stats(sampler, &*self.proj),
+            WorkerKind::Exact(acc) => acc.close_interval(),
+        };
+        self.sampled += stats.iter().map(StratumStats::sample_size).sum::<u64>();
+        stats
     }
 
     /// Closes the current interval into a [`WorkerPane`] and re-arms for
@@ -329,11 +346,7 @@ impl<R> IntervalWorker<R> {
                 self.sampled += sample.total_sampled();
                 WorkerPane::Sampled(sample)
             }
-            WorkerKind::Exact(acc) => {
-                let stats = acc.close_interval();
-                self.sampled += stats.iter().map(StratumStats::sample_size).sum::<u64>();
-                WorkerPane::Exact(stats)
-            }
+            WorkerKind::Exact(_) => WorkerPane::Exact(self.close_interval()),
         }
     }
 

@@ -14,7 +14,7 @@
 use crate::aggregated::{AggregatedConfig, AggregatedEngine};
 use crate::batched::{BatchedConfig, BatchedEngine};
 use crate::checkpoint::{seal_session_snapshot, CheckpointStore, RecordCodec};
-use crate::cost::{confidence_for_budget, policy_for_budget, CostPolicy, PolicyHandle};
+use crate::cost::{confidence_for_budget, policy_for_budget, PolicyHandle};
 use crate::engine::Engine;
 use crate::net::{DistributedConfig, DistributedSession};
 use crate::output::{RunOutput, WindowResult};
@@ -170,7 +170,10 @@ impl<'p, R: 'p> StreamApprox<'p, R> {
 
     /// Runs the session on the pipelined (Flink-style) engine. The system
     /// to run is part of [`PipelinedConfig`]; see
-    /// [`PipelinedConfig::with_system`].
+    /// [`PipelinedConfig::with_system`]. The engine consults the policy
+    /// once, at start: a sampling system under a policy that is not
+    /// static ([`crate::CostPolicy::is_static`]) refuses every push with
+    /// [`SaError::InvalidBudget`].
     #[must_use]
     pub fn pipelined(mut self, config: PipelinedConfig) -> Self
     where
@@ -230,18 +233,19 @@ impl<'p, R: 'p> StreamApprox<'p, R> {
     /// The cost policy is consulted once at startup: the directive is
     /// part of every worker's assignment, so it is fixed for the run
     /// (per-interval adaptation still happens *inside* OASRS under a
-    /// fraction directive, worker-locally).
+    /// fraction directive, worker-locally), and the policy must be static
+    /// ([`crate::CostPolicy::is_static`]).
     ///
     /// # Errors
     ///
     /// [`SaError::InvalidConfig`] when the configuration is unusable
-    /// (zero workers, unbindable address, invalid directive).
+    /// (zero workers, unbindable address, invalid directive);
+    /// [`SaError::InvalidBudget`] when the policy is not static.
     pub fn distributed(mut self, config: DistributedConfig) -> Result<DistributedSession, SaError> {
-        let directive = self.policy.interval_sizing();
         DistributedSession::start(
             self.query.window(),
             self.query.confidence(),
-            directive,
+            &mut self.policy,
             config,
         )
     }

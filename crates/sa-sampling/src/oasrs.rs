@@ -11,12 +11,40 @@
 //! the interval each stratum yields its `Y_i = min(C_i, N_i)` sampled items
 //! and the weight `W_i = max(C_i / N_i, 1)` of Equation 1, packaged as a
 //! [`StratifiedSample`] for the estimators.
+//!
+//! # What carries across an interval boundary
+//!
+//! The boundary re-arms every stratum but rebuilds nothing it can keep:
+//!
+//! * **carried:** the flat stratum table (every slot empty, cut to the
+//!   highest stratum live in the interval just closed), the emptied item
+//!   buffer of each stratum live in that interval — parked at the
+//!   stratum's own index and handed back when that stratum is next
+//!   admitted — and the capacity plan of
+//!   [`SizingPolicy::FractionOfPrevious`], a flat vector indexed like the
+//!   table in which 0 means "no plan";
+//! * **not carried:** held items, arrival counters and skip-ahead jump
+//!   state (every stratum starts its next interval as a fresh reservoir),
+//!   and the buffers of strata idle for a whole interval, which are freed.
+//!
+//! So the kept table and buffers are bounded by what the last interval
+//! used, not by every id ever seen. Like the map it replaces, the plan
+//! keeps an entry for every stratum ever planned: at most 2^20 entries,
+//! the bound on stratum ids.
+//!
+//! The carried state holds no items and drives no random draw, so it is
+//! invisible: the wire format omits the parked buffers and the idle table
+//! length, and a decoded sampler continues exactly like the original.
+//! [`OasrsSampler::finish_interval_with`] closes an interval by *lending*
+//! each stratum's sample, so a caller that folds samples into statistics
+//! frees and reallocates no item buffer at all;
+//! [`OasrsSampler::finish_interval`] hands the items out as an owned
+//! [`StratifiedSample`] instead.
 
-use crate::reservoir::Reservoir;
+use crate::reservoir::{Reservoir, INITIAL_RESERVE};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sa_types::{StratifiedSample, StratumId, StratumSample, StreamItem};
-use std::collections::BTreeMap;
 
 /// How per-stratum reservoir capacities `N_i` are chosen (the paper's
 /// "adaptive cost function considering the specified query budget", §3.2).
@@ -63,7 +91,8 @@ impl SizingPolicy {
 /// Call [`observe`](OasrsSampler::observe) for every arriving item and
 /// [`finish_interval`](OasrsSampler::finish_interval) at each interval
 /// boundary (batch or window slide); the sampler re-arms itself for the next
-/// interval, carrying capacity decisions forward per the sizing policy.
+/// interval, carrying capacity decisions forward per the sizing policy
+/// (see the module docs for what else carries over).
 ///
 /// # Example
 ///
@@ -85,18 +114,36 @@ impl SizingPolicy {
 /// assert_eq!((s0.sample_size(), s0.weight()), (3, 2.0)); // C=6 > N=3 → W=C/N
 /// assert_eq!((s1.sample_size(), s1.weight()), (2, 1.0)); // C=2 ≤ N=3 → W=1
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct OasrsSampler<V> {
     pub(crate) sizing: SizingPolicy,
     /// Per-stratum reservoirs, indexed by stratum id. Sampling sits on the
     /// hot receiving path, so lookup must be an array index: stratum ids
     /// are expected to be small and dense (the aggregator assigns them per
-    /// source). `None` marks ids not seen this interval.
+    /// source). `None` marks ids not seen this interval; the table keeps
+    /// its allocation across intervals (see `close`).
     pub(crate) strata: Vec<Option<Reservoir<V>>>,
     pub(crate) active: usize,
-    /// Capacities carried into the next interval (FractionOfPrevious).
-    pub(crate) next_capacity: BTreeMap<StratumId, usize>,
+    /// Capacities carried into the next interval (FractionOfPrevious),
+    /// indexed like `strata`; 0 means no plan.
+    pub(crate) next_capacity: Vec<usize>,
+    /// Emptied item buffers parked at their stratum's index by a lending
+    /// close, handed back when that stratum is next admitted.
+    pub(crate) parked: Vec<Vec<V>>,
     pub(crate) rng: SmallRng,
+}
+
+/// Equality of the observable state — sizing, live strata, capacity plan
+/// and RNG. The idle table length and the parked buffers carry no state,
+/// so a sampler equals its decoded copy, which has neither.
+impl<V: PartialEq> PartialEq for OasrsSampler<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.sizing == other.sizing
+            && self.active == other.active
+            && self.rng == other.rng
+            && self.live().eq(other.live())
+            && self.plan().eq(other.plan())
+    }
 }
 
 /// Guard against sparse stratum ids blowing up the flat table.
@@ -119,7 +166,8 @@ impl<V> OasrsSampler<V> {
             sizing,
             strata: Vec::new(),
             active: 0,
-            next_capacity: BTreeMap::new(),
+            next_capacity: Vec::new(),
+            parked: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -173,16 +221,35 @@ impl<V> OasrsSampler<V> {
         self.strata.iter().flatten().map(|r| r.len() as u64).sum()
     }
 
+    /// The live strata of the current interval with their indices, in
+    /// ascending order.
+    pub(crate) fn live(&self) -> impl Iterator<Item = (usize, &Reservoir<V>)> {
+        self.strata
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, slot)| Some((idx, slot.as_ref()?)))
+    }
+
+    /// The planned `(stratum index, capacity)` pairs, in ascending order.
+    pub(crate) fn plan(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.next_capacity
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, cap)| cap > 0)
+    }
+
     /// Capacity a brand-new stratum would receive right now, given that it
     /// will make `|S| = active` strata in total.
-    fn capacity_for_new_stratum(&self, stratum: StratumId, active: usize) -> usize {
+    fn capacity_for_new_stratum(&self, idx: usize, active: usize) -> usize {
         match self.sizing {
             SizingPolicy::PerStratum(n) => n,
             SizingPolicy::SharedTotal(total) => (total / active).max(1),
             SizingPolicy::FractionOfPrevious { initial, .. } => self
                 .next_capacity
-                .get(&stratum)
+                .get(idx)
                 .copied()
+                .filter(|&cap| cap > 0)
                 .unwrap_or(initial)
                 .max(1),
         }
@@ -198,8 +265,9 @@ impl<V> OasrsSampler<V> {
             self.strata.resize_with(idx + 1, || None);
         }
         self.active += 1;
-        let cap = self.capacity_for_new_stratum(stratum, self.active);
-        self.strata[idx] = Some(Reservoir::new(cap));
+        let cap = self.capacity_for_new_stratum(idx, self.active);
+        let buffer = self.parked.get_mut(idx).map(std::mem::take);
+        self.strata[idx] = Some(Reservoir::with_buffer(cap, buffer.unwrap_or_default()));
         if let SizingPolicy::SharedTotal(total) = self.sizing {
             // Rebalance: all strata share the budget evenly.
             let per = (total / self.active).max(1);
@@ -293,26 +361,76 @@ impl<V> OasrsSampler<V> {
     /// sampler *adaptive* to fluctuating arrival rates.
     pub fn finish_interval(&mut self) -> StratifiedSample<V> {
         let mut out = StratifiedSample::new();
-        let strata = std::mem::take(&mut self.strata);
-        self.active = 0;
-        for (idx, slot) in strata.into_iter().enumerate() {
-            let Some(reservoir) = slot else { continue };
-            let id = StratumId(idx as u32);
-            let capacity = reservoir.capacity();
-            let (items, seen) = reservoir.into_parts();
-            if let SizingPolicy::FractionOfPrevious { fraction, .. } = self.sizing {
-                let next = ((seen as f64 * fraction).ceil() as usize).max(1);
-                self.next_capacity.insert(id, next);
-            }
-            out.push(StratumSample::new(id, items, seen, capacity));
-        }
+        self.close(|stratum, items, seen, capacity| {
+            out.push(StratumSample::new(stratum, items, seen, capacity));
+            None
+        });
         out
     }
 
-    /// Discards the current interval's state without producing a sample.
-    pub fn reset(&mut self) {
-        self.strata.clear();
+    /// Ends the current time interval like
+    /// [`finish_interval`](OasrsSampler::finish_interval), but *lends*
+    /// each stratum's sample instead of handing it out:
+    /// `lend(stratum, items, seen, capacity)` is called once per stratum
+    /// seen this interval, in ascending stratum order, with exactly the
+    /// parts `finish_interval` would have packed into its
+    /// [`StratumSample`]. The item buffers stay with the sampler, emptied
+    /// and parked for their strata's next interval, so a caller that folds
+    /// samples into statistics allocates and frees no item buffer.
+    pub fn finish_interval_with<F: FnMut(StratumId, &[V], u64, usize)>(&mut self, mut lend: F) {
+        self.close(|stratum, mut items, seen, capacity| {
+            lend(stratum, &items, seen, capacity);
+            // A buffer that grew far past what its stratum held (one burst
+            // pane) shrinks back rather than staying at its peak.
+            let keep = 2 * items.len().max(INITIAL_RESERVE);
+            items.clear();
+            items.shrink_to(keep);
+            Some(items)
+        });
+    }
+
+    /// Both closes: takes every live reservoir in ascending stratum order,
+    /// records its next capacity, hands `each` its parts, and parks the
+    /// buffer `each` gives back (if any) at the stratum's index.
+    ///
+    /// Only what this interval used is kept: an idle stratum's parked
+    /// buffer is freed, and the table and the parked slots are cut to the
+    /// highest live stratum (their allocations to twice that), so ids that
+    /// never come back hold no memory and cost later closes nothing.
+    fn close(&mut self, mut each: impl FnMut(StratumId, Vec<V>, u64, usize) -> Option<Vec<V>>) {
         self.active = 0;
+        let fraction = match self.sizing {
+            SizingPolicy::FractionOfPrevious { fraction, .. } => Some(fraction),
+            _ => None,
+        };
+        if fraction.is_some() && self.next_capacity.len() < self.strata.len() {
+            self.next_capacity.resize(self.strata.len(), 0);
+        }
+        let mut live_end = 0;
+        for (idx, slot) in self.strata.iter_mut().enumerate() {
+            let Some(reservoir) = slot.take() else {
+                if let Some(buffer) = self.parked.get_mut(idx) {
+                    *buffer = Vec::new();
+                }
+                continue;
+            };
+            live_end = idx + 1;
+            let capacity = reservoir.capacity();
+            let (items, seen) = reservoir.into_parts();
+            if let Some(fraction) = fraction {
+                self.next_capacity[idx] = ((seen as f64 * fraction).ceil() as usize).max(1);
+            }
+            if let Some(buffer) = each(StratumId(idx as u32), items, seen, capacity) {
+                if idx >= self.parked.len() {
+                    self.parked.resize_with(idx + 1, Vec::new);
+                }
+                self.parked[idx] = buffer;
+            }
+        }
+        self.strata.truncate(live_end);
+        self.strata.shrink_to(2 * live_end);
+        self.parked.truncate(live_end);
+        self.parked.shrink_to(2 * live_end);
     }
 }
 
@@ -589,5 +707,56 @@ mod tests {
             let dev = (c as f64 - expected).abs() / expected;
             assert!(dev < 0.08, "value {v}: count {c} vs expected {expected}");
         }
+    }
+
+    /// Kept state is bounded by the interval just closed: ids that never
+    /// come back leave no table slots or parked buffers behind, and a
+    /// buffer that grew in a burst pane shrinks back once the burst ends.
+    #[test]
+    fn kept_state_is_bounded_by_the_last_interval() {
+        fn check(oasrs: &OasrsSampler<f64>, live: &[u32]) {
+            let end = live.iter().max().map_or(0, |&id| id as usize + 1);
+            assert_eq!(oasrs.strata.len(), end);
+            assert!(oasrs.strata.capacity() <= 2 * end.max(1));
+            assert!(oasrs.parked.len() <= end && oasrs.parked.capacity() <= 2 * end.max(1));
+            for (idx, buffer) in oasrs.parked.iter().enumerate() {
+                if !live.contains(&(idx as u32)) {
+                    assert_eq!(buffer.capacity(), 0, "idle stratum {idx} keeps a buffer");
+                }
+                assert!(buffer.capacity() <= 2 * INITIAL_RESERVE.max(400));
+            }
+        }
+        // Churn: every pane sees fresh ids, the first one a sparse one.
+        let mut oasrs = OasrsSampler::new(SizingPolicy::PerStratum(400), 3);
+        for pane in 0..40u32 {
+            let live: Vec<u32> = if pane == 0 {
+                vec![200_000]
+            } else {
+                (0..8).map(|k| 3_000 - 50 * pane + k).collect()
+            };
+            for &id in &live {
+                feed(&mut oasrs, id, 1_000);
+            }
+            oasrs.finish_interval_with(|_, _, _, _| {});
+            check(&oasrs, &live);
+        }
+        oasrs.finish_interval_with(|_, _, _, _| {});
+        check(&oasrs, &[]);
+
+        // Burst: one pane holds 100,000 items; the next holds 10.
+        let mut oasrs = OasrsSampler::new(
+            SizingPolicy::FractionOfPrevious {
+                fraction: 1.0,
+                initial: 200_000,
+            },
+            4,
+        );
+        feed(&mut oasrs, 2, 100_000);
+        oasrs.finish_interval_with(|_, _, _, _| {});
+        assert!(oasrs.parked[2].capacity() >= 100_000);
+        feed(&mut oasrs, 2, 10);
+        oasrs.finish_interval_with(|_, _, _, _| {});
+        assert!(oasrs.parked[2].capacity() <= 2 * INITIAL_RESERVE);
+        assert_eq!(oasrs.next_capacity[2], 10);
     }
 }

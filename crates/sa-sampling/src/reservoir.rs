@@ -111,6 +111,10 @@ pub(crate) fn weighted_union<T, R: Rng + ?Sized>(
 /// items that will ever actually arrive.
 const GAP_SCAN_LIMIT: u64 = 1 << 32;
 
+/// Most item slots a fresh reservoir reserves up front; larger ones grow
+/// as they fill.
+pub(crate) const INITIAL_RESERVE: usize = 1_024;
+
 /// The armed skip-ahead state: how many more items to reject without
 /// consulting the RNG before the next acceptance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,9 +168,18 @@ impl<T> Reservoir<T> {
     /// Panics if `capacity` is zero — a zero-slot reservoir can never
     /// represent its stream and Equation 1's weight would be undefined.
     pub fn new(capacity: usize) -> Self {
+        Self::with_buffer(capacity, Vec::new())
+    }
+
+    /// An empty reservoir like [`new`](Reservoir::new) that fills
+    /// `buffer`, cleared, instead of a fresh allocation: how OASRS hands a
+    /// stratum back the buffer it parked at the last interval boundary.
+    pub(crate) fn with_buffer(capacity: usize, mut items: Vec<T>) -> Self {
         assert!(capacity > 0, "reservoir capacity must be positive");
+        items.clear();
+        items.reserve_exact(capacity.min(INITIAL_RESERVE));
         Reservoir {
-            items: Vec::with_capacity(capacity.min(1_024)),
+            items,
             capacity,
             seen: 0,
             jump: None,

@@ -21,7 +21,6 @@ use crate::reservoir::{Jump, Reservoir};
 use rand::rngs::SmallRng;
 use sa_types::wire::{put_u64_le, put_varint};
 use sa_types::{wire_enum, wire_struct, SaError, StratumId, WireDecode, WireEncode, WireReader};
-use std::collections::BTreeMap;
 
 wire_struct!(Jump { skip });
 
@@ -119,15 +118,14 @@ impl<V> OasrsSampler<V> {
         // The sparse stratum table ships as (index, reservoir) pairs in
         // ascending index order; the flat table rebuilds on decode.
         put_varint(out, self.active as u64);
-        for (idx, slot) in self.strata.iter().enumerate() {
-            if let Some(res) = slot {
-                idx.encode(out);
-                res.encode_state_with(out, item);
-            }
+        for (idx, res) in self.live() {
+            idx.encode(out);
+            res.encode_state_with(out, item);
         }
-        put_varint(out, self.next_capacity.len() as u64);
-        for (id, cap) in &self.next_capacity {
-            id.encode(out);
+        // The flat plan ships as its nonzero (stratum, capacity) entries.
+        put_varint(out, self.plan().count() as u64);
+        for (idx, cap) in self.plan() {
+            StratumId(idx as u32).encode(out);
             cap.encode(out);
         }
         for word in self.rng.state() {
@@ -171,11 +169,14 @@ impl<V> OasrsSampler<V> {
             strata[idx] = Some(res);
         }
         let plans = r.read_len()?;
-        let mut next_capacity = BTreeMap::new();
+        let mut next_capacity = Vec::new();
         let mut last_id: Option<StratumId> = None;
         for _ in 0..plans {
             let id = StratumId::decode(r)?;
             let cap = usize::decode(r)?;
+            if id.index() >= MAX_STRATUM_ID {
+                return Err(SaError::Wire(format!("planned stratum {id} too sparse")));
+            }
             if last_id.is_some_and(|prev| id <= prev) {
                 return Err(SaError::Wire(format!(
                     "capacity plan strata out of order at {id}"
@@ -185,7 +186,8 @@ impl<V> OasrsSampler<V> {
                 return Err(SaError::Wire(format!("zero planned capacity for {id}")));
             }
             last_id = Some(id);
-            next_capacity.insert(id, cap);
+            next_capacity.resize(id.index() + 1, 0);
+            next_capacity[id.index()] = cap;
         }
         let state = [
             r.read_u64_le()?,
@@ -201,6 +203,7 @@ impl<V> OasrsSampler<V> {
             strata,
             active: present,
             next_capacity,
+            parked: Vec::new(),
             rng: SmallRng::from_state(state),
         })
     }
@@ -271,6 +274,27 @@ mod tests {
             OasrsSampler::<f64>::from_wire_bytes(&zeroed),
             Err(SaError::Wire(_))
         ));
+        // A planned stratum past the table bound: the flat plan would
+        // allocate one slot per id below it.
+        for id in [MAX_STRATUM_ID as u32, u32::MAX] {
+            let mut sparse = Vec::new();
+            SizingPolicy::FractionOfPrevious {
+                fraction: 0.5,
+                initial: 1,
+            }
+            .encode(&mut sparse);
+            put_varint(&mut sparse, 0); // no live strata
+            put_varint(&mut sparse, 1); // one planned stratum
+            StratumId(id).encode(&mut sparse);
+            1usize.encode(&mut sparse);
+            for word in [1u64, 2, 3, 4] {
+                put_u64_le(&mut sparse, word);
+            }
+            assert!(matches!(
+                OasrsSampler::<f64>::from_wire_bytes(&sparse),
+                Err(SaError::Wire(_))
+            ));
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 
 use sa_aggregator::{replay_into, Consumer, Partitioner, Producer, Topic};
 use sa_batched::Cluster;
-use sa_types::{EventTime, SaError, SessionStatus, StratumId, StreamItem, WindowSpec};
+use sa_types::{
+    Confidence, EventTime, QueryBudget, SaError, SessionStatus, StratumId, StreamItem, WindowSpec,
+};
 use sa_workloads::Mix;
 use streamapprox::{
     run_batched, AggregatedConfig, ApproxSession, BatchedConfig, BatchedSystem, DistributedConfig,
@@ -749,6 +751,120 @@ fn status_reflects_session_progress() {
     assert_eq!(status.windows_completed, polled.len() as u64);
     assert!(!polled.is_empty());
     let _ = session.finish();
+}
+
+/// The pipelined engine and the distributed coordinator consult the cost
+/// policy once, at start. An adaptive budget (accuracy, latency) would be
+/// frozen at its first directive, so both refuse it — the pipelined engine
+/// on every push, the distributed tier at start — while every static
+/// budget runs. One row per engine × budget kind.
+#[test]
+fn adaptive_budgets_are_refused_where_the_policy_is_consulted_once() {
+    let budgets = [
+        (QueryBudget::SampleFraction(0.5), true),
+        (QueryBudget::SampleSize(64), true),
+        (QueryBudget::ResourceTokens(500), true),
+        (QueryBudget::LatencyMillis(50), false),
+        (
+            QueryBudget::Accuracy {
+                max_relative_error: 0.01,
+                confidence: Confidence::P95,
+            },
+            false,
+        ),
+    ];
+    let at = |ms: i64| StreamItem::new(StratumId(0), EventTime::from_millis(ms), 1.0);
+    for (budget, runs) in budgets {
+        let builder = || StreamApprox::with_budget(query(), budget).expect("valid budget");
+
+        let mut pipelined = builder().pipelined(PipelinedConfig::new()).start();
+        let pushed = pipelined.push(at(0));
+        let batched = pipelined.push_batch([at(1), at(2)]);
+        let out = pipelined.finish();
+        if runs {
+            pushed.expect("a static budget runs on the pipelined engine");
+            batched.expect("a static budget runs on the pipelined engine");
+            assert_eq!(out.items_ingested, 3, "pipelined {budget}");
+        } else {
+            for err in [pushed.unwrap_err(), batched.unwrap_err()] {
+                assert!(
+                    matches!(err, SaError::InvalidBudget(_)),
+                    "pipelined {budget}: {err}"
+                );
+            }
+            assert_eq!(out.items_ingested, 0, "pipelined {budget}");
+        }
+
+        match (builder().distributed(DistributedConfig::new(1)), runs) {
+            (Ok(_), true) => {}
+            (Err(SaError::InvalidBudget(_)), false) => {}
+            (Ok(_), false) => panic!("distributed accepted the adaptive {budget}"),
+            (Err(err), _) => panic!("distributed {budget}: {err}"),
+        }
+    }
+}
+
+/// A custom policy is taken to adapt unless it declares itself static
+/// (the conservative default of `CostPolicy::is_static`): the one-shot
+/// engines refuse it until it does, and run it once it does.
+#[test]
+fn custom_policies_run_once_consulted_only_when_declared_static() {
+    use streamapprox::{CostPolicy, SizingDirective};
+    struct Custom {
+        declared_static: bool,
+    }
+    impl CostPolicy for Custom {
+        fn interval_sizing(&mut self) -> SizingDirective {
+            SizingDirective::PerStratum(16)
+        }
+        fn is_static(&self) -> bool {
+            self.declared_static
+        }
+    }
+    struct Undeclared;
+    impl CostPolicy for Undeclared {
+        fn interval_sizing(&mut self) -> SizingDirective {
+            SizingDirective::PerStratum(16)
+        }
+    }
+    let at = StreamItem::new(StratumId(0), EventTime::from_millis(0), 1.0);
+
+    let mut policy = Undeclared;
+    let mut session = StreamApprox::new(query(), &mut policy)
+        .pipelined(PipelinedConfig::new())
+        .start();
+    let err = session.push(at).unwrap_err();
+    assert!(matches!(err, SaError::InvalidBudget(_)), "{err}");
+    let _ = session.finish();
+    let mut policy = Undeclared;
+    let err = StreamApprox::new(query(), &mut policy)
+        .distributed(DistributedConfig::new(1))
+        .unwrap_err();
+    assert!(matches!(err, SaError::InvalidBudget(_)), "{err}");
+
+    for declared_static in [false, true] {
+        let mut policy = Custom { declared_static };
+        let mut session = StreamApprox::new(query(), &mut policy)
+            .pipelined(PipelinedConfig::new())
+            .start();
+        assert_eq!(session.push(at).is_ok(), declared_static);
+        let _ = session.finish();
+        let mut policy = Custom { declared_static };
+        let started =
+            StreamApprox::new(query(), &mut policy).distributed(DistributedConfig::new(1));
+        assert_eq!(started.is_ok(), declared_static);
+    }
+
+    // A native pipelined run never consults the policy, so nothing is
+    // frozen and nothing is refused.
+    let mut policy = Undeclared;
+    let mut native = StreamApprox::new(query(), &mut policy)
+        .pipelined(PipelinedConfig::new().with_system(PipelinedSystem::Native))
+        .start();
+    native
+        .push(at)
+        .expect("native execution ignores the policy");
+    assert_eq!(native.finish().items_ingested, 1);
 }
 
 /// Debug coverage for the builder-facing configuration types, so test
