@@ -11,7 +11,10 @@
 //!
 //! This module is a thin adapter: it expresses only the engine-specific
 //! parts (operator pipeline, round-robin exchange, watermark alignment).
-//! The interval state lives in the shared
+//! Panes are cut on the caller's thread by the shared pane driver, as on
+//! every other engine: the push source is its sink, dealing each item
+//! round-robin to the stage instances and closing each pane with its end
+//! as the watermark. The interval state lives in the shared
 //! [`crate::runtime::IntervalWorker`] (one per operator instance) and
 //! window assembly in the shared [`crate::runtime::WindowFinalizer`].
 
@@ -21,7 +24,7 @@ use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
 use crate::runtime::{
-    representable, sampler_sizing, skip_horizon_ms, window_tile_ms, IntervalWorker, WindowFinalizer,
+    sampler_sizing, window_tile_ms, IntervalWorker, PaneDriver, PaneSink, WindowFinalizer,
 };
 use crate::session::StreamApprox;
 use sa_estimate::StratumStats;
@@ -47,9 +50,6 @@ impl std::fmt::Display for PipelinedSystem {
         }
     }
 }
-
-/// How far event time advances between the source's watermarks (ms).
-const WATERMARK_INTERVAL_MS: i64 = 100;
 
 /// Configuration of the pipelined engine for one run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,63 +136,36 @@ enum RunnerOut {
 }
 
 /// The pane-sampling / pane-stats operator (one instance per worker): an
-/// [`IntervalWorker`] plus the engine-specific pane-boundary detection.
-///
-/// Panes are slide-interval-sized (or, when the slide does not divide the
-/// window size, as long as their greatest common divisor, so that panes
-/// still tile the window). A pane closes when either an item of a
-/// later pane arrives (items are in order within an instance) or the
-/// watermark passes its end — the watermark path runs *before* the runtime
-/// forwards the watermark downstream, so pane results always precede the
-/// watermark that completes their windows.
+/// [`IntervalWorker`] fed the items dealt to this instance. Each watermark
+/// is a pane end from the driver and closes that pane, quiet or not,
+/// *before* the runtime forwards it downstream, so pane results always
+/// precede the watermark that completes their windows.
 struct PaneStage<R> {
     worker: IntervalWorker<R>,
     pane_ms: i64,
-    current_pane_start: Option<i64>,
-}
-
-impl<R: Send + 'static> PaneStage<R> {
-    fn flush_pane(&mut self, out: &mut dyn FnMut(StreamItem<StageOut>)) {
-        let Some(start) = self.current_pane_start.take() else {
-            return;
-        };
-        let pane = Window::new(
-            EventTime::from_millis(start),
-            EventTime::from_millis(start + self.pane_ms),
-        );
-        let stats = self.worker.close_interval();
-        out(StreamItem::new(
-            StratumId(0),
-            pane.end,
-            StageOut::Pane { pane, stats },
-        ));
-    }
 }
 
 impl<R: Send + 'static> Operator<R, StageOut> for PaneStage<R> {
-    fn on_item(&mut self, item: StreamItem<R>, out: &mut dyn FnMut(StreamItem<StageOut>)) {
-        let pane = item.time.as_millis().div_euclid(self.pane_ms) * self.pane_ms;
-        match self.current_pane_start {
-            None => self.current_pane_start = Some(pane),
-            Some(current) if pane > current => {
-                self.flush_pane(out);
-                self.current_pane_start = Some(pane);
-            }
-            _ => {}
-        }
+    fn on_item(&mut self, item: StreamItem<R>, _out: &mut dyn FnMut(StreamItem<StageOut>)) {
         self.worker.observe(item.stratum, item.value);
     }
 
     fn on_watermark(&mut self, wm: EventTime, out: &mut dyn FnMut(StreamItem<StageOut>)) {
-        if let Some(start) = self.current_pane_start {
-            if wm.as_millis() >= start + self.pane_ms {
-                self.flush_pane(out);
-            }
+        // The end-of-stream watermark closes nothing: the driver closed the
+        // last pane before the source was dropped.
+        if wm == EventTime::MAX {
+            return;
         }
+        let pane = Window::new(wm - self.pane_ms, wm);
+        let stats = self.worker.close_interval();
+        out(StreamItem::new(
+            StratumId(0),
+            wm,
+            StageOut::Pane { pane, stats },
+        ));
     }
 
     fn on_end(&mut self, out: &mut dyn FnMut(StreamItem<StageOut>)) {
-        self.flush_pane(out);
         let (ingested, sampled) = self.worker.counters();
         out(StreamItem::new(
             StratumId(0),
@@ -308,26 +281,40 @@ where
     session.finish()
 }
 
-/// The pipelined substrate as an incremental [`Engine`]: the full operator
-/// topology — push source, parallel sampling/stats stage, window estimator
-/// — runs on its own threads from the moment the engine is built, and
-/// `push` feeds it live through the source with backpressure. Windows
-/// surface through the sink as watermarks close them, a beat after the
-/// items that completed them (the stages are concurrent); `finish` ends
-/// the stream, drains the sink, and joins the topology.
+/// The pipelined substrate as an incremental [`Engine`]: the operator
+/// topology runs on its own threads from the moment the engine is built,
+/// fed live on the caller's thread by the [`PaneDriver`] through the push
+/// source. Windows surface a beat after the items that completed them (the
+/// stages are concurrent); `finish` closes the last pane, ends the stream,
+/// drains the sink, and joins the topology.
 pub(crate) struct PipelinedEngine<R: Send + 'static> {
+    driver: PaneDriver,
     source: PushSource<R>,
-    sink: FlowHandle<RunnerOut>,
-    /// Pane interval and gap-jump horizon: the headroom an event time
-    /// needs to be [`representable`].
-    pane_ms: i64,
-    horizon_ms: i64,
+    results: FlowHandle<RunnerOut>,
     /// Set when the policy is not static: the engine consults it once, so
     /// every push is refused rather than run under a frozen directive.
     refused: Option<SaError>,
     started: Instant,
     ingested: u64,
     aggregated: u64,
+}
+
+/// The push source is the pipelined engine's [`PaneSink`]: items are dealt
+/// round-robin to the stage instances, starting at instance 0, and a pane
+/// closes with its end broadcast as the watermark.
+impl<R> PaneSink<R> for PushSource<R> {
+    #[inline]
+    fn observe(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
+        self.push(item)
+    }
+
+    fn observe_run(&mut self, items: &mut Vec<StreamItem<R>>) -> Result<(), SaError> {
+        items.drain(..).try_for_each(|item| self.push(item))
+    }
+
+    fn close_pane(&mut self, pane: Window) -> Result<(), SaError> {
+        self.watermark(pane.end)
+    }
 }
 
 impl<R> PipelinedEngine<R>
@@ -355,8 +342,8 @@ where
             None
         };
 
-        let (source, flow) = Flow::source_push(WATERMARK_INTERVAL_MS);
-        let sink = flow
+        let (source, flow) = Flow::source_push();
+        let results = flow
             .then(w, move |i| PaneStage {
                 worker: IntervalWorker::for_worker(
                     sizing,
@@ -366,7 +353,6 @@ where
                     std::sync::Arc::clone(&proj),
                 ),
                 pane_ms,
-                current_pane_start: None,
             })
             .then(1, move |_| WindowEstimator {
                 finalizer: WindowFinalizer::new(window_spec, confidence),
@@ -375,10 +361,9 @@ where
             })
             .into_handle();
         PipelinedEngine {
+            driver: PaneDriver::new(Some(pane_ms), window_spec),
             source,
-            sink,
-            pane_ms,
-            horizon_ms: skip_horizon_ms(window_spec),
+            results,
             refused,
             started,
             ingested: 0,
@@ -418,40 +403,36 @@ where
         if let Some(err) = &self.refused {
             return Err(err.clone());
         }
-        representable(item.time, self.pane_ms, self.horizon_ms)?;
-        self.source.push(item)
+        self.driver.push(item, &mut self.source)
     }
 
     fn push_chunk(&mut self, items: Vec<StreamItem<R>>) -> Result<(), SaError> {
         if let Some(err) = &self.refused {
             return Err(err.clone());
         }
-        // The chunk is time-ordered, so its ends bound every item: refuse
-        // it whole rather than ingest a prefix of it.
-        for end in [items.first(), items.last()].into_iter().flatten() {
-            representable(end.time, self.pane_ms, self.horizon_ms)?;
-        }
-        items
-            .into_iter()
-            .try_for_each(|item| self.source.push(item))
+        self.driver.push_chunk(items, &mut self.source)
     }
 
     fn poll_windows(&mut self) -> Vec<WindowResult> {
-        let emitted = self.sink.try_drain();
+        let emitted = self.results.try_drain();
         Self::absorb(emitted, &mut self.ingested, &mut self.aggregated)
     }
 
     fn finish(self: Box<Self>) -> RunOutput {
         let PipelinedEngine {
-            source,
-            sink,
+            mut driver,
+            mut source,
+            results,
             started,
             mut ingested,
             mut aggregated,
             ..
         } = *self;
+        // A dead dataflow has no window left to close; what it emitted is
+        // still drained below.
+        let _ = driver.finish(&mut source);
         drop(source); // end-of-stream: final MAX watermark flushes every window
-        let emitted = sink.drain_to_end();
+        let emitted = results.drain_to_end();
         let mut windows = Self::absorb(emitted, &mut ingested, &mut aggregated);
         windows.sort_by_key(|w| (w.window.end, w.window.start));
         RunOutput {

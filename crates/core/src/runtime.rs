@@ -24,8 +24,9 @@
 //!   three-method sink: one item, a run of items, close the pane. Every
 //!   push-driven engine embeds one driver and supplies only its sink —
 //!   pooled sampler (aggregated), pane buffer (batched), route-and-flush
-//!   (sharded), digest-and-send (distributed worker) — so there is one
-//!   pane-cutting loop in the system, not one per engine.
+//!   (sharded), digest-and-send (distributed worker), deal-and-watermark
+//!   (pipelined push source) — so there is one pane-cutting loop in the
+//!   system, not one per engine.
 //! * [`WindowFinalizer`] — pane-to-window assembly and estimation:
 //!   [`PaneWindower`] state plus the `combine.rs` merge of the panes it
 //!   lends each completed window. Engines with a dedicated window stage
@@ -578,7 +579,7 @@ pub(crate) fn untiled_interval(interval_ms: i64) -> SaError {
 
 /// The gap-jump horizon for windows of `spec`: twice `size + slide` (see
 /// [`PaneDriver`]'s invariants).
-pub(crate) fn skip_horizon_ms(spec: WindowSpec) -> i64 {
+fn skip_horizon_ms(spec: WindowSpec) -> i64 {
     2 * (spec.size_millis() + spec.slide_millis())
 }
 
@@ -586,12 +587,9 @@ pub(crate) fn skip_horizon_ms(spec: WindowSpec) -> i64 {
 /// arithmetic could overflow: one pane interval plus the skip horizon of
 /// headroom at either end of `i64` keeps the pane's own bounds, the
 /// watermark it becomes, and every window end derived from that watermark
-/// representable. Every engine that cuts panes refuses the same times.
-pub(crate) fn representable(
-    time: EventTime,
-    interval_ms: i64,
-    skip_horizon_ms: i64,
-) -> Result<i64, SaError> {
+/// representable. Only the [`PaneDriver`] asks, so every engine refuses
+/// the same times.
+fn representable(time: EventTime, interval_ms: i64, skip_horizon_ms: i64) -> Result<i64, SaError> {
     let t = time.as_millis();
     let margin = interval_ms.saturating_add(skip_horizon_ms);
     if t < i64::MIN.saturating_add(margin) || t > i64::MAX.saturating_sub(margin) {
@@ -621,8 +619,8 @@ pub(crate) trait PaneSink<R> {
 
 /// *The* pane path: cuts a time-ordered stream into event-time panes and
 /// drives a [`PaneSink`] with them. Every push-driven engine — aggregated,
-/// batched, sharded, the distributed worker — embeds one driver and keeps
-/// only its substrate-specific sink, so the engines' pane-for-pane
+/// batched, sharded, pipelined, the distributed worker — embeds one driver
+/// and keeps only its substrate-specific sink, so the engines' pane-for-pane
 /// agreement is structural, and chunked and per-item ingestion cannot
 /// drift apart: [`push`](PaneDriver::push) and
 /// [`push_chunk`](PaneDriver::push_chunk) share one boundary routine.

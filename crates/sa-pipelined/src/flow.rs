@@ -7,9 +7,9 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
 use sa_types::{EventTime, SaError, StreamItem};
 use std::thread::JoinHandle;
 
-/// Capacity of every inter-operator channel and of the push source's feed.
-/// Bounded channels give the pipeline natural backpressure: a slow
-/// operator stalls its producers instead of buffering unboundedly.
+/// Capacity of every inter-operator channel. Bounded channels give the
+/// pipeline natural backpressure: a slow operator stalls its producers,
+/// the push source's caller included, instead of buffering unboundedly.
 const CHANNEL_CAPACITY: usize = 256;
 
 /// Records per network buffer (the Flink-style record batch amortizing
@@ -20,6 +20,7 @@ const RECORD_BUFFER: usize = 64;
 /// stage's instances (Flink's `rebalance`), starting at instance
 /// `producer_idx % n` so parallel producers do not all begin on the same
 /// one.
+#[derive(Debug)]
 struct Routing<T> {
     senders: Vec<Sender<Tagged<T>>>,
     /// One record buffer per downstream target.
@@ -117,38 +118,31 @@ fn instance_loop<I, O, Op>(
             Ok(m) => m,
             Err(_) => break,
         };
-        match signal {
+        let wm = match signal {
             Signal::Items(batch) => {
                 let routing_ref = &mut routing;
                 for item in batch {
                     op.on_item(item, &mut |out| routing_ref.send_item(out));
                 }
+                continue;
             }
-            Signal::Watermark(wm) => {
-                if wm > wms[p] {
-                    wms[p] = wm;
-                    let effective = *wms.iter().min().expect("at least one producer");
-                    if effective > current_wm {
-                        current_wm = effective;
-                        let routing_ref = &mut routing;
-                        op.on_watermark(effective, &mut |out| routing_ref.send_item(out));
-                        routing.broadcast_watermark(effective);
-                    }
-                }
+            Signal::Watermark(wm) => wm,
+            // An ended producer holds event time back no longer.
+            Signal::End if !ended[p] => {
+                ended[p] = true;
+                ended_count += 1;
+                EventTime::MAX
             }
-            Signal::End => {
-                if !ended[p] {
-                    ended[p] = true;
-                    ended_count += 1;
-                    wms[p] = EventTime::MAX;
-                    let effective = *wms.iter().min().expect("at least one producer");
-                    if effective > current_wm {
-                        current_wm = effective;
-                        let routing_ref = &mut routing;
-                        op.on_watermark(effective, &mut |out| routing_ref.send_item(out));
-                        routing.broadcast_watermark(effective);
-                    }
-                }
+            Signal::End => continue,
+        };
+        if wm > wms[p] {
+            wms[p] = wm;
+            let effective = *wms.iter().min().expect("at least one producer");
+            if effective > current_wm {
+                current_wm = effective;
+                let routing_ref = &mut routing;
+                op.on_watermark(effective, &mut |out| routing_ref.send_item(out));
+                routing.broadcast_watermark(effective);
             }
         }
     }
@@ -160,34 +154,72 @@ fn instance_loop<I, O, Op>(
 type SpawnFn<T> = Box<dyn FnOnce(Vec<Sender<Tagged<T>>>) -> Vec<JoinHandle<()>> + Send>;
 
 /// The feeding half of a push-driven source stage (see
-/// [`Flow::source_push`]): items pushed here enter the dataflow live.
+/// [`Flow::source_push`]): items pushed here enter the dataflow live, on
+/// the pushing thread, dealt round-robin over the first stage's instances
+/// from instance 0; the only watermarks are the ones the caller hands it.
 ///
 /// Dropping the handle ends the stream: the source emits a final
 /// `EventTime::MAX` watermark and end-of-stream, flushing every window
 /// still open downstream.
 #[derive(Debug)]
 pub struct PushSource<T> {
-    tx: Sender<StreamItem<T>>,
+    /// Delivers the first stage's inputs once [`Flow::then`] wires it.
+    wiring: Receiver<Vec<Sender<Tagged<T>>>>,
+    routing: Option<Routing<T>>,
 }
 
 impl<T> PushSource<T> {
-    /// Feeds one item into the dataflow. Blocks while the pipeline is
-    /// saturated (bounded channels give the push path backpressure).
-    ///
-    /// Items must be pushed in non-decreasing event-time order — the
-    /// source derives its watermarks from the item times it sees.
+    /// Feeds one item into the dataflow. Records travel in small buffers,
+    /// so this blocks only when a full buffer meets a saturated pipeline
+    /// (backpressure), or while the first stage is not wired yet.
     ///
     /// # Errors
     ///
-    /// [`SaError::Disconnected`] if the dataflow has shut down (e.g. a
-    /// downstream operator panicked — the source notices its dead
-    /// downstream and exits, closing this feed). Detection is prompt but
-    /// asynchronous: the few pushes in flight when the operator dies may
-    /// still return `Ok`.
-    pub fn push(&self, item: StreamItem<T>) -> Result<(), SaError> {
-        self.tx
-            .send(item)
-            .map_err(|_| SaError::Disconnected("pipelined push source"))
+    /// [`SaError::Disconnected`] if the dataflow was dropped unbuilt or has
+    /// shut down (e.g. an operator panicked). A dead stage is noticed at
+    /// the next record-buffer flush — a full buffer or a
+    /// [`watermark`](PushSource::watermark) — so pushes before it return
+    /// `Ok`.
+    pub fn push(&mut self, item: StreamItem<T>) -> Result<(), SaError> {
+        self.send(|routing| routing.send_item(item))
+    }
+
+    /// Marks event-time progress: every later item has `time >= t`. The
+    /// buffered records are flushed first, so it never overtakes them.
+    ///
+    /// # Errors
+    ///
+    /// [`SaError::Disconnected`] under the same conditions as
+    /// [`push`](PushSource::push).
+    pub fn watermark(&mut self, t: EventTime) -> Result<(), SaError> {
+        self.send(|routing| routing.broadcast_watermark(t))
+    }
+
+    /// Runs `send` on the routing to the first stage, once it is wired,
+    /// and reports whether that stage is still alive.
+    fn send(&mut self, send: impl FnOnce(&mut Routing<T>)) -> Result<(), SaError> {
+        if self.routing.is_none() {
+            let wired = self.wiring.recv().ok();
+            self.routing = wired.map(|senders| Routing::new(senders, 0));
+        }
+        if let Some(routing) = &mut self.routing {
+            send(routing);
+            if !routing.dead {
+                return Ok(());
+            }
+        }
+        Err(SaError::Disconnected("pipelined push source"))
+    }
+}
+
+impl<T> Drop for PushSource<T> {
+    fn drop(&mut self) {
+        // A source never used sent nothing: dropping its wiring leaves the
+        // first stage without producers, which ends the stream as well.
+        if let Some(routing) = &mut self.routing {
+            routing.broadcast_watermark(EventTime::MAX);
+            routing.broadcast_end();
+        }
     }
 }
 
@@ -244,9 +276,10 @@ impl<T> FlowHandle<T> {
 
 /// A dataflow under construction, typed by the items its last stage emits.
 ///
-/// Stages spawn as the topology is built (each `then` call wires and starts
-/// the upstream stage); [`Flow::into_handle`] attaches the sink. Bounded
-/// channels keep memory finite while construction races execution.
+/// Stages spawn as the topology is built (each `then` call wires the
+/// upstream stage — the push source included — and starts its threads);
+/// [`Flow::into_handle`] attaches the sink. Bounded channels keep memory
+/// finite while construction races execution.
 ///
 /// # Example
 ///
@@ -262,7 +295,7 @@ impl<T> FlowHandle<T> {
 ///     }
 /// }
 ///
-/// let (source, flow) = Flow::source_push(10);
+/// let (mut source, flow) = Flow::source_push();
 /// let sink = flow.then(2, |_| Double).into_handle();
 /// for i in 0..100u32 {
 ///     let item = StreamItem::new(StratumId(i % 3), EventTime::from_millis(i64::from(i)), i);
@@ -279,54 +312,22 @@ pub struct Flow<T> {
 
 impl<T: Send + 'static> Flow<T> {
     /// A single-instance source fed live through the returned
-    /// [`PushSource`] handle. It emits a watermark at the first item and
-    /// whenever event time has advanced by `watermark_interval_ms` since
-    /// the last one, then a final `EventTime::MAX` watermark when the
-    /// handle is dropped.
-    ///
-    /// The feed channel is bounded, so pushes block (backpressure) while
-    /// the pipeline is saturated rather than buffering unboundedly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `watermark_interval_ms` is not positive.
-    pub fn source_push(watermark_interval_ms: i64) -> (PushSource<T>, Flow<T>) {
-        assert!(
-            watermark_interval_ms > 0,
-            "watermark interval must be positive"
-        );
-        let (tx, rx) = bounded::<StreamItem<T>>(CHANNEL_CAPACITY);
+    /// [`PushSource`] handle, on the caller's thread. Wire the first stage
+    /// ([`then`](Flow::then)) before pushing: the first push waits for it.
+    pub fn source_push() -> (PushSource<T>, Flow<T>) {
+        let (wire, wiring) = bounded(1);
         let flow = Flow {
             parallelism: 1,
             spawn: Box::new(move |senders| {
-                let mut routing = Routing::new(senders, 0);
-                vec![std::thread::Builder::new()
-                    .name("sa-source-push".into())
-                    .spawn(move || {
-                        let mut last_wm = EventTime::MIN;
-                        while let Ok(item) = rx.recv() {
-                            if last_wm == EventTime::MIN
-                                || item.time.millis_since(last_wm) >= watermark_interval_ms
-                            {
-                                last_wm = item.time;
-                                routing.broadcast_watermark(item.time);
-                            }
-                            routing.send_item(item);
-                            // A dead downstream cannot recover; exiting
-                            // closes the feed channel, so the pusher gets
-                            // `Disconnected` instead of silently-ignored
-                            // pushes.
-                            if routing.dead {
-                                break;
-                            }
-                        }
-                        routing.broadcast_watermark(EventTime::MAX);
-                        routing.broadcast_end();
-                    })
-                    .expect("spawning push source thread")]
+                let _ = wire.send(senders);
+                Vec::new()
             }),
         };
-        (PushSource { tx }, flow)
+        let source = PushSource {
+            wiring,
+            routing: None,
+        };
+        (source, flow)
     }
 
     /// Appends a stage of `parallelism` operator instances, each upstream
@@ -404,16 +405,25 @@ mod tests {
             .collect()
     }
 
-    /// Builds a push-fed flow with `build`, pushes `stream`, ends it, and
-    /// returns everything the sink received.
+    /// Builds a push-fed flow with `build`, pushes `stream` with a
+    /// watermark at its first item and whenever event time has advanced by
+    /// `watermark_interval_ms` since the last one, ends it, and returns
+    /// everything the sink received.
     fn run<O: Send + 'static>(
         stream: Vec<StreamItem<u32>>,
         watermark_interval_ms: i64,
         build: impl FnOnce(Flow<u32>) -> FlowHandle<O>,
     ) -> Vec<StreamItem<O>> {
-        let (source, flow) = Flow::source_push(watermark_interval_ms);
+        let (mut source, flow) = Flow::source_push();
         let sink = build(flow);
+        let mut last_wm: Option<EventTime> = None;
         for item in stream {
+            if last_wm.map_or(true, |wm| {
+                item.time.millis_since(wm) >= watermark_interval_ms
+            }) {
+                last_wm = Some(item.time);
+                source.watermark(item.time).expect("pipeline alive");
+            }
             source.push(item).expect("pipeline alive");
         }
         drop(source);
@@ -580,11 +590,13 @@ mod tests {
 
     #[test]
     fn handle_drains_incrementally_before_end() {
-        let (push, flow) = Flow::source_push(10);
+        let (mut push, flow) = Flow::source_push();
         let mut handle = flow.then(1, |_| Identity).into_handle();
         for item in items(100) {
             push.push(item).expect("pipeline alive");
         }
+        push.watermark(EventTime::from_millis(100))
+            .expect("pipeline alive");
         // The pipeline runs concurrently; wait (bounded) for some output
         // to arrive before the stream has ended.
         let mut early = Vec::new();
@@ -610,7 +622,7 @@ mod tests {
                 panic!("operator died (expected in this test)");
             }
         }
-        let (push, flow) = Flow::source_push(10);
+        let (mut push, flow) = Flow::source_push();
         let _handle = flow.then(1, |_| Exploder).into_handle();
         let mut got_err = false;
         for i in 0..1_000_000i64 {
@@ -625,31 +637,46 @@ mod tests {
 
     #[test]
     fn push_into_dead_pipeline_reports_disconnect() {
-        // A source whose feed receiver is gone (the source thread died)
-        // must surface as a Disconnected error, not a panic.
-        let (tx, rx) = crossbeam::channel::bounded::<StreamItem<u32>>(4);
-        drop(rx);
-        let push = PushSource { tx };
-        let err = push
-            .push(StreamItem::new(
-                StratumId(0),
-                EventTime::from_millis(0),
-                1u32,
-            ))
-            .unwrap_err();
-        assert!(matches!(err, sa_types::SaError::Disconnected(_)));
+        // A dataflow dropped before any stage was built never wires the
+        // source: the push is refused at once, not a panic or a hang.
+        let (push, flow) = Flow::<u32>::source_push();
+        drop(flow);
+        assert!(matches!(
+            pushed_within_a_second(push, 1),
+            Some(Err(SaError::Disconnected(_)))
+        ));
+    }
+
+    #[test]
+    fn push_into_a_dropped_dataflow_reports_disconnect() {
+        // The first stage was wired, then the dataflow dropped before it
+        // ran: the death surfaces at the first record-buffer flush.
+        let (push, flow) = Flow::<u32>::source_push();
+        drop(flow.then(2, |_| Identity));
+        assert!(matches!(
+            pushed_within_a_second(push, 2 * RECORD_BUFFER),
+            Some(Err(SaError::Disconnected(_)))
+        ));
+    }
+
+    /// Pushes up to `n` items into `push` on another thread and returns
+    /// the first error — or `Ok` once all are in — unless that takes over
+    /// a second (a hang).
+    fn pushed_within_a_second(mut push: PushSource<u32>, n: usize) -> Option<Result<(), SaError>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = (0..n as i64).try_for_each(|t| {
+                push.push(StreamItem::new(StratumId(0), EventTime::from_millis(t), 1))
+            });
+            let _ = tx.send(result);
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(1)).ok()
     }
 
     #[test]
     #[should_panic(expected = "stage parallelism must be positive")]
     fn zero_parallelism_rejected() {
-        let (_source, flow) = Flow::source_push(10);
+        let (_source, flow) = Flow::source_push();
         let _ = flow.then(0, |_| Identity);
-    }
-
-    #[test]
-    #[should_panic(expected = "watermark interval must be positive")]
-    fn zero_watermark_interval_rejected() {
-        let _ = Flow::<u32>::source_push(0);
     }
 }

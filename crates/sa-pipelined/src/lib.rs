@@ -11,7 +11,8 @@
 //! builds its topology from:
 //!
 //! * [`Flow`] — topology builder: [`Flow::source_push`] (a [`PushSource`]
-//!   feeding the running dataflow) `→ then(parallelism, make) → … →`
+//!   feeding the running dataflow from the caller's thread, with the
+//!   watermarks the caller hands it) `→ then(parallelism, make) → … →`
 //!   [`Flow::into_handle`] (a [`FlowHandle`] draining results while
 //!   execution proceeds). Every stage boundary deals records round-robin
 //!   over the next stage's instances.
@@ -21,8 +22,8 @@
 //! # Example
 //!
 //! A tumbling one-second counter behind two parallel pass-through
-//! instances: the counter emits a window only once the watermark from
-//! *both* of its producers has passed the window's end.
+//! instances: the caller marks each second's end with a watermark, and the
+//! counter emits a window only once *both* its producers have passed it.
 //!
 //! ```
 //! use sa_pipelined::{Flow, Operator};
@@ -53,14 +54,17 @@
 //!     }
 //! }
 //!
-//! let (source, flow) = Flow::source_push(100);
+//! let (mut source, flow) = Flow::source_push();
 //! let sink = flow
 //!     .then(2, |_| Pass)
 //!     .then(1, |_| PerSecond::default())
 //!     .into_handle();
 //! for i in 0..3_000u64 {
-//!     let item = StreamItem::new(StratumId(0), EventTime::from_millis(i as i64), i);
-//!     source.push(item).unwrap();
+//!     let t = EventTime::from_millis(i as i64);
+//!     if i % 1_000 == 0 {
+//!         source.watermark(t).unwrap(); // the previous second is complete
+//!     }
+//!     source.push(StreamItem::new(StratumId(0), t, i)).unwrap();
 //! }
 //! drop(source); // end of stream: the final watermark flushes the last second
 //! let windows: Vec<(i64, u64)> = sink.drain_to_end().iter().map(|i| i.value).collect();

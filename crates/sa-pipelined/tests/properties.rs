@@ -21,16 +21,25 @@ fn stream(values: &[(u32, i64)]) -> Vec<StreamItem<u32>> {
         .collect()
 }
 
-/// Builds a push-fed flow with `build`, pushes `input`, ends it, and
-/// returns everything the sink received.
+/// Builds a push-fed flow with `build`, pushes `input` with a watermark
+/// at its first item and whenever event time has advanced by
+/// `watermark_interval_ms` since the last one, ends it, and returns
+/// everything the sink received.
 fn run<O: Send + 'static>(
     input: Vec<StreamItem<u32>>,
     watermark_interval_ms: i64,
     build: impl FnOnce(Flow<u32>) -> FlowHandle<O>,
 ) -> Vec<StreamItem<O>> {
-    let (source, flow) = Flow::source_push(watermark_interval_ms);
+    let (mut source, flow) = Flow::source_push();
     let sink = build(flow);
+    let mut last_wm: Option<EventTime> = None;
     for item in input {
+        if last_wm.map_or(true, |wm| {
+            item.time.millis_since(wm) >= watermark_interval_ms
+        }) {
+            last_wm = Some(item.time);
+            source.watermark(item.time).expect("pipeline alive");
+        }
         source.push(item).expect("pipeline alive");
     }
     drop(source);

@@ -148,6 +148,62 @@ fn pipelined_worker_count_does_not_change_native_answers() {
     }
 }
 
+/// Quiet intervals on the pipelined engine are the pane driver's, as on
+/// every other engine: a quiet stretch shorter than the skip horizon
+/// closes as empty panes, and a gap longer than it is jumped. Native
+/// execution counts every item, so the window lists and every window's
+/// population must agree exactly with the batched and aggregated engines.
+#[test]
+fn quiet_stretches_and_far_gaps_window_like_every_engine() {
+    // 2 s / 1 s windows: the skip horizon is 2 × (2 s + 1 s) = 6 s. Data
+    // in [0 s, 3 s), quiet for 2 s, data in [5 s, 6 s), quiet for 14 s,
+    // data in [20 s, 21 s).
+    let mut stream = Vec::new();
+    for (start_ms, length_ms, seed) in [(0, 3_000, 1), (5_000, 1_000, 2), (20_000, 1_000, 3)] {
+        let segment = Mix::gaussian([3_000.0, 800.0, 80.0]).generate(length_ms, seed);
+        stream.extend(
+            segment.into_iter().map(|item| {
+                sa_types::StreamItem::new(item.stratum, item.time + start_ms, item.value)
+            }),
+        );
+    }
+    let shape = |out: &RunOutput| -> Vec<_> {
+        out.windows
+            .iter()
+            .map(|w| (w.window, w.sum.population_size))
+            .collect()
+    };
+    let batched = run_batched(
+        &BatchedConfig::new(Cluster::new(2)).with_batch_interval_ms(1_000),
+        BatchedSystem::Native,
+        &query(),
+        &mut FixedFraction(1.0),
+        stream.clone(),
+    );
+    // A fraction of 1 runs the aggregated engine exactly.
+    let mut policy = FixedFraction(1.0);
+    let mut aggregated = StreamApprox::new(query(), &mut policy).start();
+    aggregated
+        .push_batch(stream.iter().copied())
+        .expect("in order");
+    let aggregated = aggregated.finish();
+    assert_eq!(shape(&aggregated), shape(&batched), "aggregated vs batched");
+    for workers in [1, 3] {
+        let pipelined = run_pipelined(
+            &PipelinedConfig::new().with_sample_workers(workers),
+            PipelinedSystem::Native,
+            &query(),
+            &mut FixedFraction(1.0),
+            stream.clone(),
+        );
+        assert_eq!(
+            shape(&pipelined),
+            shape(&batched),
+            "pipelined w={workers} vs batched"
+        );
+    }
+}
+
 #[test]
 fn cluster_topology_does_not_change_native_answers() {
     let stream = items(5);
@@ -448,6 +504,18 @@ fn push_chunk_is_bit_identical_to_per_item_push() {
                     .sharded(
                         ShardedConfig::new(3)
                             .with_pane_interval_ms(500)
+                            .with_seed(0xFEED_u64)
+                            .with_expected_pane_items(first_pane_guess),
+                    )
+                    .start()
+            }),
+        ),
+        (
+            "pipelined",
+            Box::new(move |policy: &mut FixedFraction| {
+                StreamApprox::new(query(), policy)
+                    .pipelined(
+                        PipelinedConfig::new()
                             .with_seed(0xFEED_u64)
                             .with_expected_pane_items(first_pane_guess),
                     )

@@ -30,7 +30,7 @@ type Start = fn(&mut FixedFraction) -> ApproxSession<'_, f64>;
 
 /// A fresh session over `query()` on each engine that cuts panes with the
 /// shared pane driver.
-fn push_driven_engines() -> [(&'static str, Start); 3] {
+fn push_driven_engines() -> [(&'static str, Start); 4] {
     fn aggregated(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
         StreamApprox::new(query(), policy).start()
     }
@@ -44,10 +44,16 @@ fn push_driven_engines() -> [(&'static str, Start); 3] {
             .sharded(ShardedConfig::new(2))
             .start()
     }
+    fn pipelined(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
+        StreamApprox::new(query(), policy)
+            .pipelined(PipelinedConfig::new())
+            .start()
+    }
     [
         ("aggregated", aggregated),
         ("batched", batched),
         ("sharded", sharded),
+        ("pipelined", pipelined),
     ]
 }
 
@@ -354,13 +360,7 @@ fn far_future_item_is_bounded_work_on_every_engine() {
 fn extreme_timestamps_are_refused_or_bounded_on_every_engine() {
     use std::time::{Duration, Instant};
 
-    fn pipelined(policy: &mut FixedFraction) -> ApproxSession<'_, f64> {
-        StreamApprox::new(query(), policy)
-            .pipelined(PipelinedConfig::new())
-            .start()
-    }
-    let pipelined: (&str, Start) = ("pipelined", pipelined);
-    let engines = push_driven_engines().into_iter().chain([pipelined]);
+    let engines = push_driven_engines();
     // (first, second, which of the two a per-item push must accept).
     let pairs = [
         (
