@@ -118,8 +118,8 @@
 //!   StreamApprox plus native.
 //! * [`WindowResult`] / [`RunOutput`] — per-window `output ± error bound`
 //!   answers and run metrics.
-//! * [`PaneWindower`] / [`combine_window`] — pane-based window assembly,
-//!   used by the runtime's [`WindowFinalizer`].
+//! * [`PaneWindower`] — pane-based window assembly, used by the runtime's
+//!   [`WindowFinalizer`].
 //! * [`StreamApprox::checkpointable`] / [`ApproxSession::checkpoint`] /
 //!   [`StreamApprox::resume`] with [`CheckpointStore`] — bounded-error
 //!   checkpoint & resume: snapshots of the mergeable sampler state
@@ -151,7 +151,7 @@ pub use checkpoint::{
     open_session_snapshot, seal_session_snapshot, CheckpointStore, FileCheckpointStore,
     MemoryCheckpointStore, RecordCodec,
 };
-pub use combine::{combine_window, PanePayload};
+pub use combine::PanePayload;
 pub use cost::{
     confidence_for_budget, policy_for_budget, AccuracyPolicy, CostPolicy, FixedFraction,
     FixedPerStratum, IntervalFeedback, LatencyPolicy, PolicyHandle, SizingDirective, TokenPolicy,

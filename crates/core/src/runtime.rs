@@ -28,9 +28,9 @@
 //!   (pipelined push source) — so there is one pane-cutting loop in the
 //!   system, not one per engine.
 //! * [`WindowFinalizer`] — pane-to-window assembly and estimation:
-//!   [`PaneWindower`] state plus the `combine.rs` merge of the panes it
-//!   lends each completed window. Engines with a dedicated window stage
-//!   embed one there.
+//!   [`PaneWindower`] state plus the `combine.rs` block-aligned sliding
+//!   merge of the panes it lends each completed window. Engines with a
+//!   dedicated window stage embed one there.
 //! * [`ApproxRuntime`] — the full per-interval loop for engines driven
 //!   from a single control thread: cost-policy consultation and feedback,
 //!   sampler-pool lifecycle, interval ingestion, window finalization and
@@ -43,7 +43,7 @@
 //! pipelines and exchanges in `pipelined`.
 
 use crate::checkpoint::RecordCodec;
-use crate::combine::{combine_panes, PanePayload};
+use crate::combine::{PanePayload, SlidingMerge};
 use crate::cost::{CostPolicy, IntervalFeedback, PolicyHandle, SizingDirective};
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
@@ -799,13 +799,24 @@ impl PaneDriver {
     }
 }
 
+/// What the windower lends a completed window: `(pane start, payload)` for
+/// every payload of every pane it covers, in pane order.
+type LentPanes<'p> = [(i64, &'p PanePayload)];
+
 /// Pane-to-window assembly and finalization: owns the [`PaneWindower`]
 /// state and turns completed windows into [`WindowResult`]s by merging the
-/// panes the windower lends them (`combine.rs`). The engine-facing surface mirrors
-/// [`ApproxRuntime`]: `ingest_interval`, `close_interval`,
-/// `drain_windows`.
+/// panes the windower lends them (`combine.rs`). A window is merged from
+/// per-tile canonical merges folded by a fixed block-aligned tree: the
+/// finalizer keeps the current block's suffix aggregates and the next
+/// block's running prefix between windows, so a wide sliding window costs
+/// about three two-way merges rather than a merge of all its panes, and a
+/// tumbling window is one tile merge with nothing kept. What it keeps is
+/// not state: a restored finalizer rebuilds it with the same bits. The
+/// engine-facing surface mirrors [`ApproxRuntime`]: `ingest_interval`,
+/// `close_interval`, `drain_windows`.
 pub struct WindowFinalizer {
     windower: PaneWindower<PanePayload>,
+    merge: SlidingMerge,
     confidence: Confidence,
     completed: Vec<WindowResult>,
     /// Degraded-merge ledger: pane start (ms) → estimated items lost to
@@ -820,6 +831,7 @@ impl WindowFinalizer {
     pub fn new(spec: WindowSpec, confidence: Confidence) -> Self {
         WindowFinalizer {
             windower: PaneWindower::new(spec),
+            merge: SlidingMerge::new(spec),
             confidence,
             completed: Vec::new(),
             degraded_panes: BTreeMap::new(),
@@ -845,6 +857,7 @@ impl WindowFinalizer {
     /// rather than sorted again by every window that covers the pane.
     pub fn ingest_interval(&mut self, pane: Window, mut payload: PanePayload) {
         payload.sort_by_stratum();
+        self.merge.pane_added(pane.start.as_millis());
         self.windower.add_pane(pane, payload);
     }
 
@@ -872,16 +885,17 @@ impl WindowFinalizer {
         &mut self,
     ) -> (
         &mut PaneWindower<PanePayload>,
-        impl FnMut(Window, &[&PanePayload]) + '_,
+        impl FnMut(Window, &LentPanes<'_>) + '_,
     ) {
         let WindowFinalizer {
             windower,
+            merge,
             confidence,
             completed,
             degraded_panes,
         } = self;
-        let finalize = move |window: Window, panes: &[&PanePayload]| {
-            let mut result = combine_panes(window, panes, *confidence);
+        let finalize = move |window: Window, panes: &LentPanes<'_>| {
+            let mut result = merge.combine(window, panes, *confidence);
             let (start, end) = (window.start.as_millis(), window.end.as_millis());
             for (_, &lost) in degraded_panes.range(start..end) {
                 result.degraded = true;
@@ -933,6 +947,7 @@ impl WindowFinalizer {
             }
         }
         self.windower.restore_state(panes, watermark);
+        self.merge = SlidingMerge::new(self.windower.spec());
         self.completed = Vec::decode(r)?;
         let count = r.read_len()?;
         let mut degraded = BTreeMap::new();

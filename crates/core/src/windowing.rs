@@ -9,19 +9,21 @@
 //!
 //! A window is finalized once per slide and covers `size / slide` panes,
 //! so every pane is read by that many windows. The windower therefore
-//! *lends* a completed window its panes by reference and keeps ownership
-//! until no open window can cover them: nothing is copied per window, and
-//! a payload need not be `Clone`. What the lent payloads must look like —
-//! the ascending-stratum order [`crate::WindowFinalizer`] establishes when
-//! a pane is ingested — is the business of `combine.rs`, which merges
-//! them.
+//! *lends* a completed window its panes by reference, each payload beside
+//! its pane's start, and keeps ownership until no open window can cover
+//! them: nothing is copied per window, and a payload need not be `Clone`.
+//! What the lent payloads must look like — the ascending-stratum order
+//! [`crate::WindowFinalizer`] establishes when a pane is ingested — and
+//! how the pane starts are used — to cut the window into the tiles its
+//! merge folds — is the business of `combine.rs`, which merges them.
 
 use sa_batched::completed_windows;
 use sa_types::{EventTime, Window, WindowSpec};
 use std::collections::BTreeMap;
 
 /// Collects per-pane payloads and hands, as the watermark advances, each
-/// completed window the payloads of every pane it covers.
+/// completed window the payloads of every pane it covers, each as
+/// `(pane start in ms, &payload)`.
 ///
 /// Multiple payloads may be registered for the same pane (one per parallel
 /// sampling worker); they are all delivered, in registration order. Panes
@@ -54,10 +56,10 @@ use std::collections::BTreeMap;
 /// }
 /// let mut done = Vec::new();
 /// windower.advance(EventTime::from_secs(10), |window, panes| {
-///     done.push((window, panes.iter().map(|p| **p).collect::<Vec<u32>>()));
+///     done.push((window, panes.iter().map(|&(start, p)| (start, *p)).collect::<Vec<_>>()));
 /// });
 /// assert_eq!(done.len(), 1); // the [0s, 10s) window, covering panes 0 and 1
-/// assert_eq!(done[0].1, vec![0, 1]);
+/// assert_eq!(done[0].1, vec![(0, 0), (5_000, 1)]); // (pane start in ms, payload)
 /// ```
 #[derive(Debug, Clone)]
 pub struct PaneWindower<P> {
@@ -108,7 +110,7 @@ impl<P> PaneWindower<P> {
 
     /// Advances the watermark and calls `emit` for every window that
     /// completed, in end order, lending it the payloads of its panes in
-    /// pane order. Windows whose panes were all empty still appear (with
+    /// pane order, each beside its pane's start. Windows whose panes were all empty still appear (with
     /// an empty payload list) so callers can emit explicit empty results —
     /// except across a quiet gap longer than twice `window size + slide`:
     /// the interior of such a gap holds only windows no pane can ever
@@ -119,7 +121,7 @@ impl<P> PaneWindower<P> {
     ///
     /// Panes no open window can cover any more are dropped once every
     /// completed window has been emitted.
-    pub fn advance(&mut self, watermark: EventTime, mut emit: impl FnMut(Window, &[&P])) {
+    pub fn advance(&mut self, watermark: EventTime, mut emit: impl FnMut(Window, &[(i64, &P)])) {
         if watermark <= self.watermark {
             return;
         }
@@ -172,13 +174,13 @@ impl<P> PaneWindower<P> {
             completed_windows(self.spec, origin, self.watermark, watermark)
         };
         self.watermark = watermark;
-        let mut lent: Vec<&P> = Vec::new();
+        let mut lent: Vec<(i64, &P)> = Vec::new();
         for w in done {
             lent.clear();
             lent.extend(
                 self.panes
                     .range(w.start.as_millis()..w.end.as_millis())
-                    .flat_map(|(_, payloads)| payloads),
+                    .flat_map(|(&start, payloads)| payloads.iter().map(move |p| (start, p))),
             );
             emit(w, &lent);
         }
@@ -211,7 +213,7 @@ impl<P> PaneWindower<P> {
 
     /// Flushes everything: completes every window that contains a stored
     /// pane, without inventing empty windows past the end of the data.
-    pub fn finish(&mut self, emit: impl FnMut(Window, &[&P])) {
+    pub fn finish(&mut self, emit: impl FnMut(Window, &[(i64, &P)])) {
         let Some(&last_start) = self.panes.keys().next_back() else {
             return;
         };
@@ -241,14 +243,14 @@ mod tests {
     fn advance<P: Copy>(w: &mut PaneWindower<P>, wm_ms: i64) -> Vec<(Window, Vec<P>)> {
         let mut done = Vec::new();
         w.advance(EventTime::from_millis(wm_ms), |window, panes| {
-            done.push((window, panes.iter().map(|p| **p).collect()));
+            done.push((window, panes.iter().map(|(_, p)| **p).collect()));
         });
         done
     }
 
     fn finish<P: Copy>(w: &mut PaneWindower<P>) -> Vec<(Window, Vec<P>)> {
         let mut done = Vec::new();
-        w.finish(|window, panes| done.push((window, panes.iter().map(|p| **p).collect())));
+        w.finish(|window, panes| done.push((window, panes.iter().map(|(_, p)| **p).collect())));
         done
     }
 
@@ -303,11 +305,11 @@ mod tests {
         w.add_pane(pane(0, 100), Owned("first".into()));
         w.add_pane(pane(100, 100), Owned("second".into()));
         let mut seen: Vec<(i64, Vec<*const Owned>, Vec<String>)> = Vec::new();
-        let mut record = |window: Window, panes: &[&Owned]| {
+        let mut record = |window: Window, panes: &[(i64, &Owned)]| {
             seen.push((
                 window.start.as_millis(),
-                panes.iter().map(|p| *p as *const Owned).collect(),
-                panes.iter().map(|p| p.0.clone()).collect(),
+                panes.iter().map(|(_, p)| *p as *const Owned).collect(),
+                panes.iter().map(|(_, p)| p.0.clone()).collect(),
             ));
         };
         w.advance(EventTime::from_millis(200), &mut record);

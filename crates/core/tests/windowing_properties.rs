@@ -17,14 +17,14 @@ fn pane(start: i64, len: i64) -> Window {
 fn advance(windower: &mut PaneWindower<usize>, wm: EventTime) -> Vec<(Window, Vec<usize>)> {
     let mut done = Vec::new();
     windower.advance(wm, |w, panes| {
-        done.push((w, panes.iter().map(|p| **p).collect()))
+        done.push((w, panes.iter().map(|(_, p)| **p).collect()))
     });
     done
 }
 
 fn finish(windower: &mut PaneWindower<usize>) -> Vec<(Window, Vec<usize>)> {
     let mut done = Vec::new();
-    windower.finish(|w, panes| done.push((w, panes.iter().map(|p| **p).collect())));
+    windower.finish(|w, panes| done.push((w, panes.iter().map(|(_, p)| **p).collect())));
     done
 }
 

@@ -11,7 +11,7 @@ use sa_batched::Cluster;
 use sa_types::{
     CheckpointPolicy, EventTime, SaError, SessionSnapshot, StratumId, StreamItem, WindowSpec,
 };
-use sa_workloads::Mix;
+use sa_workloads::{Distribution, Mix, SubStream};
 use streamapprox::{
     open_session_snapshot, seal_session_snapshot, AggregatedConfig, BatchedConfig, BatchedSystem,
     CheckpointStore, FileCheckpointStore, FixedFraction, Query, ShardedConfig, StreamApprox,
@@ -44,18 +44,29 @@ const ENGINES: [EngineKind; 3] = [
 /// the resume contract requires the restoring builder to match the one
 /// that took the snapshot.
 fn checkpointable(kind: EngineKind, policy: &mut FixedFraction) -> StreamApprox<'_, f64> {
-    let builder = StreamApprox::new(query(), policy).checkpointable();
+    checkpointable_for(kind, policy, query(), 500)
+}
+
+/// [`checkpointable`] for another query, with the batched and sharded
+/// engines cutting panes of `pane_ms`.
+fn checkpointable_for(
+    kind: EngineKind,
+    policy: &mut FixedFraction,
+    query: Query<f64>,
+    pane_ms: i64,
+) -> StreamApprox<'_, f64> {
+    let builder = StreamApprox::new(query, policy).checkpointable();
     match kind {
         EngineKind::Batched => builder.batched(
             BatchedConfig::new(Cluster::new(2))
-                .with_batch_interval_ms(500)
+                .with_batch_interval_ms(pane_ms)
                 .with_seed(0xC0DE_u64)
                 .with_system(BatchedSystem::StreamApprox),
         ),
         EngineKind::Aggregated => builder.aggregated(AggregatedConfig::new().with_seed(0xC0DE_u64)),
         EngineKind::Sharded => builder.sharded(
             ShardedConfig::new(2)
-                .with_pane_interval_ms(500)
+                .with_pane_interval_ms(pane_ms)
                 .with_seed(0xC0DE_u64),
         ),
     }
@@ -171,6 +182,79 @@ fn pane_boundary_checkpoint_restores_bit_identically() {
             out.items_aggregated, oracle_out.items_aggregated,
             "{kind:?}"
         );
+    }
+}
+
+/// Windows of ten tiles (1 s sliding by 100 ms) over 512 strata resume
+/// bit-identically on every engine, wherever the checkpoint falls in the
+/// block tree the window merge folds: mid-block, where the resumed
+/// finalizer rebuilds the block's suffixes from position 5 and the next
+/// block's prefix from the panes it restored, and at a block boundary,
+/// where it rebuilds them from position 1. Nothing the merge keeps
+/// between windows is in the snapshot.
+#[test]
+fn sliding_windows_of_many_tiles_resume_bit_identically() {
+    const STRATA: u32 = 512;
+    let harmonic: f64 = (1..=STRATA).map(|rank| 1.0 / f64::from(rank)).sum();
+    let stream = Mix::new(
+        (0..STRATA)
+            .map(|k| {
+                SubStream::new(
+                    StratumId(k),
+                    12_000.0 / (f64::from(k + 1) * harmonic),
+                    Distribution::Gaussian {
+                        mean: 10.0 + f64::from(k),
+                        std_dev: 2.0,
+                    },
+                )
+            })
+            .collect(),
+    )
+    .generate(3_500, 0x5EED);
+    let sliding = || Query::new(|v: &f64| *v).with_window(WindowSpec::sliding_millis(1_000, 100));
+    let at = |ms: i64| {
+        stream
+            .iter()
+            .position(|i| i.time >= EventTime::from_millis(ms))
+            .expect("the stream crosses the split")
+    };
+    // Mid-block: the last pushed item lies in the pane [2.4 s, 2.5 s).
+    // Block boundary: the first item at or past 2 s closes the pane that
+    // completes the window [1 s, 2 s) before the checkpoint.
+    let splits = [("mid-block", at(2_450)), ("block boundary", at(2_000) + 1)];
+    for kind in ENGINES {
+        let mut oracle_policy = FixedFraction(0.4);
+        let mut oracle = checkpointable_for(kind, &mut oracle_policy, sliding(), 100).start();
+        oracle.push_batch(stream.iter().copied()).expect("in order");
+        let oracle_out = oracle.finish();
+        assert!(oracle_out.windows.len() >= 30, "{kind:?}");
+        for (name, split) in splits {
+            let mut first_policy = FixedFraction(0.4);
+            let mut first = checkpointable_for(kind, &mut first_policy, sliding(), 100).start();
+            first
+                .push_batch(stream[..split].iter().copied())
+                .expect("in order");
+            let mut windows = first.poll_windows();
+            let snapshot = first.checkpoint().expect("snapshotable engine");
+            drop(first);
+
+            let sealed = seal_session_snapshot(&snapshot).expect("seal");
+            let reopened = open_session_snapshot(&sealed).expect("open");
+            let mut resumed_policy = FixedFraction(0.4);
+            let mut resumed = checkpointable_for(kind, &mut resumed_policy, sliding(), 100)
+                .resume(&reopened)
+                .expect("matching builder restores");
+            resumed
+                .push_batch(stream[split..].iter().copied())
+                .expect("in order");
+            windows.extend(resumed.finish().windows);
+
+            assert_eq!(windows.len(), oracle_out.windows.len(), "{kind:?} {name}");
+            for (a, b) in windows.iter().zip(&oracle_out.windows) {
+                assert_bit_identical(a, b);
+            }
+            assert_eq!(windows, oracle_out.windows, "{kind:?} {name}");
+        }
     }
 }
 

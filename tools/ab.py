@@ -3,19 +3,25 @@
 
 Builds the benchmark twice, once from a clean export of the parent
 revision and once from the working tree, each into its own target
-directory. Then it runs N alternating pairs of one workload at one seed,
-one fresh process per run, each for the benchmark's own `run_seconds`.
-For every end-to-end metric it prints each side's median and quartiles
-(the exclusive method of `statistics.quantiles`, the rule
-`sa-benchmark compare` uses), the change's wins out of N, and whether the
-change's median beats the parent's by more than the parent's
-interquartile range. With --traced it adds one traced (per-layer) run per
-side. It ends with the benchmark's own `sa-benchmark compare` over the
-two result sets and, with --out, writes everything to one JSON file
-stamped with host cores, `rustc -V` and both revisions.
+directory. Then, for each requested workload in turn, it runs N
+alternating pairs at one seed, one fresh process per run, each for the
+benchmark's own `run_seconds`. For every end-to-end metric it prints
+each side's median and quartiles (the exclusive method of
+`statistics.quantiles`, the rule `sa-benchmark compare` uses), the
+change's wins out of N, whether the change's median beats the parent's
+by more than the parent's interquartile range, the metric's bound from
+BENCHMARK.json and the parent's own spread (interquartile range over
+median); a row whose parent spread exceeds its bound is flagged, since
+such a metric cannot tell a regression of that size from noise. With
+--traced N it adds N traced (per-layer) runs per side and workload,
+alternated like the pairs, and reports each per-layer metric's median. It
+ends with the benchmark's own `sa-benchmark compare` over the two result
+sets and, with --out, writes everything to one JSON file stamped with
+host cores, `rustc -V` and both revisions.
 
-    python3 tools/ab.py --workload agg-wide-f20 --seed 42 --pairs 10 \\
-        [--parent <rev>] [--traced] [--work <dir>] [--out <file.json>]
+    python3 tools/ab.py --workload agg-wide-f20[,dist-paced-f20,...|all] \\
+        --seed 42 --pairs 10 [--parent <rev>] [--traced [N]] [--work <dir>] \\
+        [--out <file.json>]
 
 The change is always the working tree; --parent defaults to HEAD, and a
 run whose parent is HEAD with a clean tree is refused (it would compare
@@ -56,18 +62,101 @@ def spread(values):
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def summarize(spec, name, seed, pairs, summaries, traced):
+    """Prints one workload's tables and returns its part of the report."""
+    report = {
+        "operations": {
+            side: {"all_correct": all(s["correct"] for s in summaries[side]),
+                   "attempted": sum(s["attempted"] for s in summaries[side]),
+                   "failed": sum(s["failed"] for s in summaries[side])}
+            for side in SIDES
+        },
+        "end_to_end": {},
+        "traced": {},
+    }
+    print(f"\n## {name}, seed {seed}, {pairs} alternating pairs of {spec['run_seconds']} s")
+    print()
+    print("| metric | better | parent median [q1, q3] | change median [q1, q3] "
+          "| change/parent | change wins | beats parent IQR | bound | parent IQR/median |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    for metric in spec["end_to_end"]:
+        metric_name, better, bound = metric["name"], metric["better"], metric["bound"]
+        values = {side: [s["metrics"][metric_name]["value"] for s in summaries[side]]
+                  for side in SIDES}
+        stats = {side: spread(values[side]) for side in SIDES}
+        sign = 1.0 if better == "higher" else -1.0
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        gain = sign * (stats["change"]["median"] - stats["parent"]["median"])
+        parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        beats = gain > parent_iqr
+        ratio = (stats["change"]["median"] / stats["parent"]["median"]
+                 if stats["parent"]["median"] else None)
+        parent_spread = (parent_iqr / abs(stats["parent"]["median"])
+                         if stats["parent"]["median"] else None)
+        noisy = parent_spread is not None and parent_spread > bound
+        report["end_to_end"][metric_name] = {
+            "better": better,
+            "bound": bound,
+            "parent": {**stats["parent"], "values": values["parent"]},
+            "change": {**stats["change"], "values": values["change"]},
+            "ratio": ratio,
+            "wins": wins,
+            "beats_parent_iqr": beats,
+            "parent_iqr_over_median": parent_spread,
+            "parent_spread_exceeds_bound": noisy,
+        }
+        fmt = lambda s: f"{s['median']:.6g} [{s['q1']:.6g}, {s['q3']:.6g}]"
+        shown_ratio = f"{ratio:.4f}" if ratio is not None else "-"
+        shown_spread = f"{parent_spread:.4f}" if parent_spread is not None else "-"
+        print(f"| `{metric_name}` | {better} | {fmt(stats['parent'])} | {fmt(stats['change'])} "
+              f"| {shown_ratio} | {wins}/{pairs} | {'yes' if beats else 'no'} | {bound} "
+              f"| {shown_spread}{' **exceeds bound**' if noisy else ''} |")
+    for side in SIDES:
+        ops = report["operations"][side]
+        print(f"\n{side}: all runs correct: {ops['all_correct']}; "
+              f"failed {ops['failed']} of {ops['attempted']} operations")
+
+    if traced["parent"]:
+        runs = len(traced["parent"])
+        print(f"\n| traced metric (median of {runs} runs per side) | unit | parent | change "
+              "| change/parent |")
+        print("|---|---|---|---|---|")
+        for metric_name, first in traced["parent"][0]["metrics"].items():
+            values = {side: [t["metrics"][metric_name]["value"] for t in traced[side]
+                             if metric_name in t["metrics"]] for side in SIDES}
+            if len(values["change"]) != runs:
+                continue
+            p, c = (statistics.median(values[side]) for side in SIDES)
+            ratio = c / p if p else None
+            report["traced"][metric_name] = {"unit": first["unit"], "parent": p,
+                                             "change": c, "ratio": ratio,
+                                             "parent_values": values["parent"],
+                                             "change_values": values["change"]}
+            shown = f"{ratio:.4f}" if ratio is not None else "-"
+            print(f"| `{metric_name}` | {first['unit']} | {p:.6g} | {c:.6g} | {shown} |")
+    return report
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True,
+                    help="a workload name, a comma-separated list of them, or `all`")
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--parent", default="HEAD")
-    ap.add_argument("--traced", action="store_true")
+    ap.add_argument("--traced", type=int, nargs="?", const=1, default=0, metavar="N",
+                    help="add N traced runs per side and workload (1 if N is omitted)")
     ap.add_argument("--work")
     ap.add_argument("--out")
     args = ap.parse_args()
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = known if args.workload == "all" else args.workload.split(",")
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        sys.exit(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json has "
+                 f"{', '.join(known)}")
     work = Path(args.work or tempfile.mkdtemp(prefix="sa-ab-")).resolve()
     if work == REPO or REPO in work.parents:
         sys.exit("--work must lie outside the repository")
@@ -96,22 +185,14 @@ def main():
     for side in SIDES:
         build(manifests[side], work / f"t-{side}")
 
-    def run(side, trace):
+    def run(side, workload, trace):
         binary = "sa-benchmark-traced" if trace else "sa-benchmark"
         out = subprocess.run(
-            [str(work / f"t-{side}/release/{binary}"), "--workload", args.workload,
+            [str(work / f"t-{side}/release/{binary}"), "--workload", workload,
              "--seed", str(args.seed), "--seconds", str(spec["run_seconds"]),
              "--trace", str(int(trace))],
             capture_output=True, text=True, check=True)
         return json.loads(out.stdout.strip().splitlines()[-1])
-
-    summaries = {side: [] for side in SIDES}
-    for i in range(1, args.pairs + 1):
-        # Alternate which side goes first, so drift does not favour one.
-        for side in (SIDES if i % 2 else SIDES[::-1]):
-            summaries[side].append(run(side, False))
-        print(f"pair {i}/{args.pairs} done", file=sys.stderr)
-    traced = {side: run(side, True) for side in SIDES} if args.traced else {}
 
     report = {
         "host": {"host_cores": os.cpu_count(),
@@ -119,78 +200,44 @@ def main():
                                          text=True, check=True).stdout.strip()},
         "parent": parent,
         "change": change,
-        "workload": args.workload,
+        "workloads": workloads,
         "seed": args.seed,
         "pairs": args.pairs,
         "run_seconds": spec["run_seconds"],
-        "order": "alternating: parent first in odd pairs, change first in even pairs",
-        "operations": {
-            side: {"all_correct": all(s["correct"] for s in summaries[side]),
-                   "attempted": sum(s["attempted"] for s in summaries[side]),
-                   "failed": sum(s["failed"] for s in summaries[side])}
-            for side in SIDES
-        },
-        "end_to_end": {},
-        "traced": {},
+        "order": "per workload, alternating: parent first in odd pairs, "
+                 "change first in even pairs",
+        "results": {},
     }
-
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} alternating pairs of "
-          f"{spec['run_seconds']} s; parent {parent}, change {change}; "
+    print(f"parent {parent}, change {change}; "
           f"{report['host']['host_cores']} cores, {report['host']['rustc']}")
-    print()
-    print("| metric | better | parent median [q1, q3] | change median [q1, q3] "
-          "| change/parent | change wins | beats parent IQR |")
-    print("|---|---|---|---|---|---|---|")
-    for metric in spec["end_to_end"]:
-        name, better = metric["name"], metric["better"]
-        values = {side: [s["metrics"][name]["value"] for s in summaries[side]]
-                  for side in SIDES}
-        stats = {side: spread(values[side]) for side in SIDES}
-        sign = 1.0 if better == "higher" else -1.0
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        gain = sign * (stats["change"]["median"] - stats["parent"]["median"])
-        beats = gain > stats["parent"]["q3"] - stats["parent"]["q1"]
-        ratio = stats["change"]["median"] / stats["parent"]["median"]
-        report["end_to_end"][name] = {
-            "better": better,
-            "bound": metric["bound"],
-            "parent": {**stats["parent"], "values": values["parent"]},
-            "change": {**stats["change"], "values": values["change"]},
-            "ratio": ratio,
-            "wins": wins,
-            "beats_parent_iqr": beats,
-        }
-        fmt = lambda s: f"{s['median']:.6g} [{s['q1']:.6g}, {s['q3']:.6g}]"
-        print(f"| `{name}` | {better} | {fmt(stats['parent'])} | {fmt(stats['change'])} "
-              f"| {ratio:.4f} | {wins}/{args.pairs} | {'yes' if beats else 'no'} |")
-    for side in SIDES:
-        ops = report["operations"][side]
-        print(f"\n{side}: all runs correct: {ops['all_correct']}; "
-              f"failed {ops['failed']} of {ops['attempted']} operations")
 
-    if traced:
-        print("\n| traced metric (one run per side) | unit | parent | change | change/parent |")
-        print("|---|---|---|---|---|")
-        for name, p in traced["parent"]["metrics"].items():
-            c = traced["change"]["metrics"].get(name)
-            if c is None:
-                continue
-            ratio = c["value"] / p["value"] if p["value"] else None
-            report["traced"][name] = {"unit": p["unit"], "parent": p["value"],
-                                      "change": c["value"], "ratio": ratio}
-            shown = f"{ratio:.4f}" if ratio is not None else "-"
-            print(f"| `{name}` | {p['unit']} | {p['value']:.6g} | {c['value']:.6g} | {shown} |")
+    rows = {side: [] for side in SIDES}
+    for workload in workloads:
+        summaries = {side: [] for side in SIDES}
+        for i in range(1, args.pairs + 1):
+            # Alternate which side goes first, so drift does not favour one.
+            for side in (SIDES if i % 2 else SIDES[::-1]):
+                summaries[side].append(run(side, workload, False))
+            print(f"{workload}: pair {i}/{args.pairs} done", file=sys.stderr)
+        traced = {side: [] for side in SIDES}
+        for i in range(1, args.traced + 1):
+            for side in (SIDES if i % 2 else SIDES[::-1]):
+                traced[side].append(run(side, workload, True))
+        report["results"][workload] = summarize(spec, workload, args.seed, args.pairs,
+                                                summaries, traced)
+        for side in SIDES:
+            rows[side].extend({"workload": workload, "seed": args.seed, **s}
+                              for s in summaries[side])
 
     for side in SIDES:
-        rows = [{"workload": args.workload, "seed": args.seed, **s} for s in summaries[side]]
-        (work / f"{side}-set.json").write_text(json.dumps({"runs": rows}, indent=1))
+        (work / f"{side}-set.json").write_text(json.dumps({"runs": rows[side]}, indent=1))
     compare = subprocess.run(
         [str(work / "t-change/release/sa-benchmark"), "compare",
          str(work / "parent-set.json"), str(work / "change-set.json")],
         capture_output=True, text=True, check=False)
     report["compare"] = [
         line for line in compare.stdout.splitlines()
-        if line.startswith((args.workload, "workload")) or "rows:" in line
+        if line.startswith((*workloads, "workload")) or "rows:" in line
     ]
     print()
     print("\n".join(report["compare"]))
