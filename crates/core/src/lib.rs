@@ -99,9 +99,9 @@
 //!   [`connect_worker`] — the distributed tier: a TCP coordinator that
 //!   assigns the run to worker processes, collects their per-pane sampler
 //!   digests over the `sa-net` framed protocol, and merges them through
-//!   the same mergeable-sampler path — bit-identical to the in-process
-//!   sharded merge of the same shards (seeded per pane by
-//!   [`pane_merge_seed`]).
+//!   the sharded engine's own pane barrier — bit-identical to the sharded
+//!   engine at as many shards under every budget (each pane's merge is
+//!   seeded by [`pane_merge_seed`] from its start).
 //! * [`CostPolicy`] and its implementations ([`FixedFraction`],
 //!   [`FixedPerStratum`], [`AccuracyPolicy`], [`LatencyPolicy`],
 //!   [`TokenPolicy`]) — the paper's "virtual cost function" (§7) mapping a

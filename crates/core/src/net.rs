@@ -12,9 +12,9 @@
 //!   [`crate::StreamApprox::distributed`]: binds a listener, assigns the
 //!   full run configuration to each joining worker, collects one
 //!   [`sa_net::Digest`] per worker per closed pane, merges each pane's
-//!   digests in canonical worker-id order through the same [`ShardSet`]
-//!   path the in-process sharded engine uses, and finalizes windows with
-//!   estimation-layer error bounds.
+//!   digests in canonical worker-id order through the same pane barrier
+//!   the in-process sharded engine merges its shards through, and
+//!   finalizes windows with estimation-layer error bounds.
 //! * [`DigestEngine`] (built by [`connect_worker`] or [`rejoin_worker`]) —
 //!   one worker: a local [`Engine`] that samples its shard of the stream
 //!   with full-capacity OASRS and ships the pane's sampler state at every
@@ -24,12 +24,14 @@
 //!   session API.
 //!
 //! Determinism survives the wire: worker `w` builds exactly the sampler
-//! [`ShardSet::rearm`] would hand shard `w`, digests merge in ascending
-//! worker id, and each pane's merge RNG is seeded by
-//! [`crate::pane_merge_seed`] from the run seed and the pane's *start
-//! time* — so a fault-free distributed run reproduces, bit for bit, the
-//! single-process merge of the same per-shard samplers (§3.2's merge
-//! soundness, verified end-to-end in `tests/distributed.rs`).
+//! [`ShardSet::rearm`] would hand shard `w`, and the coordinator offers
+//! each digest to the one pane barrier the sharded engine offers its
+//! shards' closes to. It merges in ascending worker id with the merge RNG
+//! seeded by [`crate::pane_merge_seed`] from the run seed and the pane's
+//! *start time* — so a fault-free distributed run of K workers reproduces,
+//! bit for bit, the sharded engine at N = K under every budget, and the
+//! hand-built single-process merge of the same per-shard samplers (§3.2's
+//! merge soundness, verified end-to-end in `tests/distributed.rs`).
 //!
 //! # Surviving worker failure
 //!
@@ -95,17 +97,13 @@
 //! surface as [`SaError::Wire`].
 
 use crate::checkpoint::{open_session_snapshot, require_codec, require_engine, RecordCodec};
-use crate::combine::PanePayload;
 use crate::cost::{frozen_policy, CostPolicy, SizingDirective};
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::runtime::{
-    pane_merge_seed, sampler_sizing, untiled_interval, window_tile_ms, IntervalWorker, PaneDriver,
-    PaneSink, ShardSet, WindowFinalizer, WorkerPane,
+    sampler_sizing, untiled_interval, window_tile_ms, IntervalWorker, Offer, PaneBarrier,
+    PaneDriver, PaneSink, ShardSet, WindowFinalizer, WorkerPane,
 };
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use sa_estimate::widen_for_shortfall;
 use sa_net::frame::{read_message, write_message};
 use sa_net::{Assignment, Digest, DigestPayload, Heartbeat, Message};
 use sa_types::wire::{WireDecode, WireEncode, WireReader};
@@ -125,9 +123,12 @@ use std::time::{Duration, Instant};
 /// Configuration of a distributed coordinator session.
 ///
 /// Mirrors [`crate::ShardedConfig`] — the distributed tier is the sharded
-/// engine with processes for threads and frames for channels — plus the
-/// transport knobs a real service needs: a bind address, a run timeout,
-/// and the [`FaultPolicy`] governing failure detection and self-healing.
+/// engine with processes for threads and frames for channels: the same
+/// per-shard samplers, closed through the same pane barrier, so a healthy
+/// run of K workers matches the sharded engine at N = K bit for bit under
+/// every budget — plus the transport knobs a real service needs: a bind
+/// address, a run timeout, and the [`FaultPolicy`] governing failure
+/// detection and self-healing.
 #[derive(Debug, Clone)]
 pub struct DistributedConfig {
     /// Number of workers that will join; also the shard count of the
@@ -213,15 +214,6 @@ impl DistributedConfig {
     pub fn with_fault_policy(mut self, fault: FaultPolicy) -> Self {
         self.fault = fault;
         self
-    }
-}
-
-/// Total item population a digest accounts for, across all its strata —
-/// the per-shard mass the lost-contribution estimate extrapolates from.
-fn digest_population(digest: &Digest) -> u64 {
-    match &digest.payload {
-        DigestPayload::Sampled(sample) => sample.iter().map(|s| s.population).sum(),
-        DigestPayload::Exact(stats) => stats.iter().map(|s| s.population).sum(),
     }
 }
 
@@ -579,10 +571,9 @@ pub struct DistributedSession {
     /// The run configuration every worker is assigned (`worker` is set
     /// per join).
     assign: Assignment,
-    shard_set: ShardSet<f64>,
+    barrier: PaneBarrier<f64>,
     finalizer: WindowFinalizer,
-    pending: BTreeMap<i64, BTreeMap<u32, Digest>>,
-    /// When each pending pane first saw a digest — the straggler clock
+    /// When each unmerged pane first saw a digest — the straggler clock
     /// `pane_timeout` measures against.
     pending_since: BTreeMap<i64, Instant>,
     workers: BTreeMap<u32, WorkerPeer>,
@@ -597,7 +588,6 @@ pub struct DistributedSession {
     /// Why the most recently failed worker connection died — diagnostic
     /// only (connection loss degrades, it does not error the session).
     last_conn_error: Option<(u32, SaError)>,
-    merged_watermark: Option<EventTime>,
     timeout: Duration,
     started: Instant,
 }
@@ -693,9 +683,8 @@ impl DistributedSession {
             addr,
             events: rx,
             assign,
-            shard_set,
+            barrier: PaneBarrier::new(shard_set, interval_ms),
             finalizer: WindowFinalizer::new(window, confidence),
-            pending: BTreeMap::new(),
             pending_since: BTreeMap::new(),
             workers: BTreeMap::new(),
             table,
@@ -707,7 +696,6 @@ impl DistributedSession {
             degraded_panes: 0,
             lost_items: 0,
             last_conn_error: None,
-            merged_watermark: None,
             timeout: config.timeout,
             started: Instant::now(),
         })
@@ -870,6 +858,7 @@ impl DistributedSession {
                     if peer.gen == gen {
                         peer.done = true;
                         peer.status.health = WorkerHealth::Done;
+                        self.barrier.excuse(worker as usize, i64::MAX);
                         self.set_slot_state(worker, gen, SlotState::Done);
                     }
                 }
@@ -889,9 +878,14 @@ impl DistributedSession {
     }
 
     /// Writes a worker's latest progress report onto its status; the
-    /// watermark never moves back.
+    /// watermark never moves back, and excuses the worker from every pane
+    /// it has passed.
     fn record_progress(&mut self, report: Heartbeat) {
         if let Some(peer) = self.workers.get_mut(&report.worker) {
+            if let Some(watermark) = report.watermark {
+                self.barrier
+                    .excuse(report.worker as usize, watermark.as_millis());
+            }
             let status = &mut peer.status;
             status.ingest = report.ingest;
             status.watermark = report.watermark.max(status.watermark);
@@ -930,30 +924,27 @@ impl DistributedSession {
             items_since_checkpoint: digest.items_since_checkpoint,
             snapshot_bytes: digest.snapshot_bytes,
         });
-        if let Some(merged) = self.merged_watermark {
-            if start < merged.as_millis() {
-                // The pane was already merged — by straggler timeout or a
-                // degraded close — and a replacement replaying its log
-                // legitimately re-derives it. Dropping (never
-                // re-merging) is what keeps recovery exactly-once at
-                // pane granularity.
-                return;
-            }
-        }
         let worker = digest.worker;
-        let slot = self.pending.entry(start).or_default();
-        if slot.contains_key(&worker) {
-            if respawned {
-                // First delivery wins: the dead predecessor's digest for
-                // this pane already counts its items.
-                return;
+        let part = match digest.payload {
+            DigestPayload::Sampled(sample) => WorkerPane::Sampled(sample),
+            DigestPayload::Exact(stats) => WorkerPane::Exact(stats),
+        };
+        match self.barrier.offer(worker as usize, start, part) {
+            Offer::Held => {
+                self.pending_since.entry(start).or_insert_with(Instant::now);
             }
-            return self.fail(SaError::Wire(format!(
+            // The pane was already merged — by straggler timeout or a
+            // degraded close — and a replacement replaying its log
+            // legitimately re-derives it. Dropping (never re-merging) is
+            // what keeps recovery exactly-once at pane granularity.
+            Offer::Stale => {}
+            // First delivery wins: the dead predecessor's digest for this
+            // pane already counts its items.
+            Offer::Duplicate if respawned => {}
+            Offer::Duplicate => self.fail(SaError::Wire(format!(
                 "worker {worker} sent two digests for one pane"
-            )));
+            ))),
         }
-        slot.insert(worker, digest);
-        self.pending_since.entry(start).or_insert_with(Instant::now);
     }
 
     fn drain_pending_events(&mut self) {
@@ -962,120 +953,46 @@ impl DistributedSession {
         }
     }
 
-    /// Whether every worker has accounted for the pane starting at
-    /// `start`: delivered a digest, watermarked past its end, shut down
-    /// for good, or been retired. Dead-but-not-retired workers still
-    /// hold panes back — their replacement may yet refill them — until
-    /// the pane's own timeout forces a degraded merge.
-    fn pane_ready(&self, start: i64) -> bool {
-        let end = start + self.assign.pane_interval_ms;
-        let digests = self.pending.get(&start);
-        (0..self.assign.num_workers).all(|w| {
-            let Some(peer) = self.workers.get(&w) else {
-                return false; // not yet joined
-            };
-            peer.done
-                || peer.status.health == WorkerHealth::Retired
-                || digests.is_some_and(|d| d.contains_key(&w))
-                || peer.status.watermark.is_some_and(|t| t.as_millis() >= end)
-        })
-    }
-
+    /// Merges every pane the barrier releases, in pane order. A pane
+    /// waits for every worker to deliver it, watermark past it or shut
+    /// down; dead-but-not-retired workers still hold it back — their
+    /// replacement may yet refill it — until the straggler clock forces a
+    /// degraded merge, so one wedged worker cannot stall the watermark.
+    /// Workers a degraded merge missed are demoted to `Suspect`.
     fn merge_ready_panes(&mut self) {
-        while self.error.is_none() {
-            let Some((&start, _)) = self.pending.iter().next() else {
-                break;
-            };
-            if self.pane_ready(start) {
-                self.merge_pane(start);
-                continue;
-            }
-            // The straggler clock: a pane blocked past the policy's
-            // timeout merges from whatever arrived, so one wedged worker
-            // cannot stall the watermark.
-            let waited = self
-                .pending_since
-                .get(&start)
-                .map(|since| since.elapsed())
-                .unwrap_or_default();
-            if waited >= self.fault.pane_timeout {
-                self.merge_pane(start);
-                continue;
-            }
-            break;
+        if self.error.is_some() {
+            return;
         }
-    }
-
-    fn merge_pane(&mut self, start: i64) {
-        let end = start + self.assign.pane_interval_ms;
-        self.pending_since.remove(&start);
-        let mut digests = self.pending.remove(&start).unwrap_or_default();
-        let exact = self.assign.directive == SizingDirective::Everything;
-        // Workers with no digest and no excuse (clean shutdown, watermark
-        // past the pane) are the degraded merge's missing shards. On the
-        // healthy path this is empty and the merge below is bit-identical
-        // to the in-process shard merge.
-        let missing: Vec<u32> = (0..self.assign.num_workers)
-            .filter(|w| {
-                let excused = match self.workers.get(w) {
-                    None => false,
-                    Some(peer) => {
-                        peer.done
-                            || digests.contains_key(w)
-                            || peer.status.watermark.is_some_and(|t| t.as_millis() >= end)
-                    }
-                };
-                !excused
-            })
-            .collect();
-        let lost = if missing.is_empty() {
-            0
-        } else {
-            // Hash routing spreads every stratum uniformly over shards,
-            // so the present shards' mean pane population is an unbiased
-            // estimate of each missing shard's contribution.
-            let present: Vec<u64> = digests.values().map(digest_population).collect();
-            if present.is_empty() {
-                0
-            } else {
-                let total: u128 = present.iter().map(|&p| u128::from(p)).sum();
-                (total * missing.len() as u128 / present.len() as u128) as u64
-            }
-        };
-        // A worker with no digest for a ready pane skipped it over a quiet
-        // gap; its contribution is the same empty close an idle in-process
-        // shard would have produced.
-        let panes: Vec<WorkerPane<f64>> = (0..self.assign.num_workers)
-            .map(|w| match digests.remove(&w).map(|d| d.payload) {
-                Some(DigestPayload::Sampled(sample)) => WorkerPane::Sampled(sample),
-                Some(DigestPayload::Exact(stats)) => WorkerPane::Exact(stats),
-                None if exact => WorkerPane::Exact(Vec::new()),
-                None => WorkerPane::Sampled(StratifiedSample::new()),
-            })
-            .collect();
-        let mut rng = SmallRng::seed_from_u64(pane_merge_seed(self.assign.seed, start));
-        let mut payload = self.shard_set.merge_panes(panes, &mut rng);
-        self.aggregated += payload.sampled();
-        if !missing.is_empty() {
-            for &w in &missing {
-                if let Some(peer) = self.workers.get_mut(&w) {
-                    if peer.status.health == WorkerHealth::Healthy {
-                        peer.status.health = WorkerHealth::Suspect;
+        let timeout = self.fault.pane_timeout;
+        while let Some(pane) = self.barrier.take_ready(
+            |start| {
+                let since = self.pending_since.get(&start);
+                since.is_some_and(|t| t.elapsed() >= timeout)
+            },
+            |w| {
+                let peer = self.workers.get(&(w as u32));
+                peer.is_some_and(|p| p.status.health == WorkerHealth::Retired)
+            },
+        ) {
+            let start = pane.window.start.as_millis();
+            self.pending_since.remove(&start);
+            self.aggregated += pane.payload.sampled();
+            if !pane.missing.is_empty() {
+                for w in pane.missing {
+                    if let Some(peer) = self.workers.get_mut(&(w as u32)) {
+                        if peer.status.health == WorkerHealth::Healthy {
+                            peer.status.health = WorkerHealth::Suspect;
+                        }
                     }
                 }
+                self.degraded_panes += 1;
+                self.lost_items += pane.lost;
+                self.finalizer.note_degraded_pane(start, pane.lost);
             }
-            self.degraded_panes += 1;
-            self.lost_items += lost;
-            if let PanePayload::Stratified(stats) = &mut payload {
-                widen_for_shortfall(stats, lost);
-            }
-            self.finalizer.note_degraded_pane(start, lost);
+            self.finalizer.ingest_interval(pane.window, pane.payload);
+            self.finalizer.close_interval(pane.window.end);
+            self.publish_finalized();
         }
-        let pane = Window::new(EventTime::from_millis(start), EventTime::from_millis(end));
-        self.finalizer.ingest_interval(pane, payload);
-        self.finalizer.close_interval(EventTime::from_millis(end));
-        self.merged_watermark = Some(EventTime::from_millis(end));
-        self.publish_finalized();
     }
 
     fn publish_finalized(&mut self) {
@@ -1136,7 +1053,7 @@ impl DistributedSession {
         SessionStatus {
             items_pushed: ingest.ingested,
             windows_completed: self.completed,
-            watermark: self.merged_watermark,
+            watermark: self.barrier.watermark(),
             ingest,
             shards: Vec::new(),
             workers: self.workers.values().map(|p| p.status).collect(),
@@ -1234,7 +1151,7 @@ impl std::fmt::Debug for DistributedSession {
             .field("windows_completed", &self.completed)
             .field("degraded_panes", &self.degraded_panes)
             .field("last_conn_error", &self.last_conn_error)
-            .field("watermark", &self.merged_watermark)
+            .field("watermark", &self.barrier.watermark())
             .finish()
     }
 }

@@ -27,6 +27,10 @@
 //!   (sharded), digest-and-send (distributed worker), deal-and-watermark
 //!   (pipelined push source) — so there is one pane-cutting loop in the
 //!   system, not one per engine.
+//! * `PaneBarrier` — *the* pane barrier of the data-parallel tiers: one
+//!   part per shard per pane, offered, excused or missing, merged in
+//!   shard order with the pane-start-seeded RNG. The sharded engine and
+//!   the distributed coordinator both embed it; it reads no clock.
 //! * [`WindowFinalizer`] — pane-to-window assembly and estimation:
 //!   [`PaneWindower`] state plus the `combine.rs` block-aligned sliding
 //!   merge of the panes it lends each completed window. Engines with a
@@ -48,8 +52,9 @@ use crate::cost::{CostPolicy, IntervalFeedback, PolicyHandle, SizingDirective};
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
 use crate::windowing::PaneWindower;
-use rand::Rng;
-use sa_estimate::{estimate_mean, StratumStats, Welford};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use sa_estimate::{estimate_mean, widen_for_shortfall, StratumStats, Welford};
 use sa_sampling::{merge_all_stratified, OasrsSampler, SizingPolicy};
 use sa_types::{
     wire::put_varint, Confidence, EventTime, RunSeed, SaError, StratifiedSample, StratumId,
@@ -85,9 +90,10 @@ pub fn sampler_sizing(
 /// The seed of the RNG that drives one pane's cross-shard merge, derived
 /// from the run seed and the pane's *start time* (not a sequential pane
 /// counter): workers that jump different quiet gaps disagree on pane
-/// ordinals but always agree on pane start times, so seeding by start time
-/// is what lets a distributed coordinator reproduce — bit for bit — the
-/// merge a single process performing the same pane would draw.
+/// ordinals but always agree on pane start times. The engines' one pane
+/// barrier seeds every merge with it, on the sharded engine and the
+/// distributed coordinator alike, so the two tiers draw the same merge for
+/// the same pane — and a resumed run needs no pane counter to draw it.
 pub fn pane_merge_seed(seed: RunSeed, pane_start_ms: i64) -> u64 {
     seed.derive(0xD157).derive(pane_start_ms as u64).value()
 }
@@ -215,6 +221,16 @@ pub enum WorkerPane<R> {
     Sampled(StratifiedSample<R>),
     /// The interval's exact per-stratum statistics (native execution).
     Exact(Vec<StratumStats>),
+}
+
+impl<R> WorkerPane<R> {
+    /// Items the pane accounts for, across all its strata.
+    fn population(&self) -> u64 {
+        match self {
+            WorkerPane::Sampled(sample) => sample.iter().map(|s| s.population).sum(),
+            WorkerPane::Exact(stats) => stats.iter().map(|s| s.population).sum(),
+        }
+    }
 }
 
 /// One parallel worker's interval state: OASRS sampling under a budget,
@@ -354,6 +370,13 @@ impl<R> IntervalWorker<R> {
     /// Items offered / items aggregated over this worker's lifetime.
     pub fn counters(&self) -> (u64, u64) {
         (self.ingested, self.sampled)
+    }
+
+    /// Takes over a retiring predecessor's lifetime counters, so a shard's
+    /// totals span the rearms a directive change forces.
+    pub(crate) fn inherit_counters(&mut self, predecessor: &IntervalWorker<R>) {
+        self.ingested += predecessor.ingested;
+        self.sampled += predecessor.sampled;
     }
 
     /// Serializes the worker's full mid-interval state — sampler or
@@ -506,7 +529,10 @@ impl<R> ShardSet<R> {
     }
 
     /// Merges one interval's per-shard closes — given in ascending shard
-    /// order — into the interval's [`PanePayload`].
+    /// order — into the interval's [`PanePayload`]. In the engines its one
+    /// caller is the pane barrier the sharded engine and the distributed
+    /// coordinator share, which draws `rng` from [`pane_merge_seed`] of the
+    /// pane's start; only fixed-size budgets draw from it.
     ///
     /// # Panics
     ///
@@ -555,6 +581,150 @@ impl<R> ShardSet<R> {
                 .map(|stratum| StratumStats::from_sample(stratum, |r| proj(r)))
                 .collect(),
         )
+    }
+}
+
+/// What [`PaneBarrier::offer`] did with a part.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Offer {
+    /// Held until its pane merges.
+    Held,
+    /// Dropped: its pane has already merged.
+    Stale,
+    /// Dropped: the shard already offered a part of this pane.
+    Duplicate,
+}
+
+/// One pane the [`PaneBarrier`] released.
+#[derive(Debug)]
+pub(crate) struct MergedPane {
+    pub(crate) window: Window,
+    /// The parts merged in shard order, populations widened by `lost`.
+    pub(crate) payload: PanePayload,
+    /// Items the missing shards are estimated to have held: the present
+    /// shards' mean population times the number missing.
+    pub(crate) lost: u64,
+    /// Shards that neither offered a part nor were excused, ascending.
+    pub(crate) missing: Vec<usize>,
+}
+
+/// *The* pane barrier of the data-parallel tiers: collects one part per
+/// shard per pane, decides when a pane is ready, and merges it. The sharded
+/// engine's threads and the distributed coordinator's workers both close
+/// panes through it, so the two tiers merge the same parts in the same
+/// order under the same RNG — bit for bit.
+///
+/// A pane is ready once every shard has offered its part or been excused
+/// from it. An excuse is lossless: the shard provably holds nothing for
+/// the pane (it shut down cleanly, or its watermark passed the pane end),
+/// so its part is the empty close an idle shard would produce. A pane
+/// blocked only on shards the caller calls gone, or one the caller calls
+/// timed out, merges degraded: the missing parts count as empty, their
+/// mass is estimated from the parts at hand and the populations are
+/// widened to cover it ([`widen_for_shortfall`]). Panes are released in
+/// start order, so the watermark never moves back.
+///
+/// Parts merge in ascending shard order through
+/// [`ShardSet::merge_panes`], with the RNG seeded by [`pane_merge_seed`]
+/// from the pane's start. The barrier reads no clock and does no I/O:
+/// what counts as timed out or gone, and what a stale or duplicate offer
+/// means, is the caller's call.
+pub(crate) struct PaneBarrier<R> {
+    /// Routing, arming and the merge itself.
+    pub(crate) shards: ShardSet<R>,
+    interval_ms: i64,
+    /// Offered parts by pane start, one slot per shard.
+    parts: BTreeMap<i64, Vec<Option<WorkerPane<R>>>>,
+    /// Per shard: every pane ending at or before this time needs no part.
+    excused: Vec<i64>,
+    /// The end of the last merged pane.
+    merged: Option<i64>,
+}
+
+impl<R> PaneBarrier<R> {
+    /// A barrier over `shards` for panes of `interval_ms`.
+    pub(crate) fn new(shards: ShardSet<R>, interval_ms: i64) -> Self {
+        PaneBarrier {
+            excused: vec![i64::MIN; shards.num_shards()],
+            shards,
+            interval_ms,
+            parts: BTreeMap::new(),
+            merged: None,
+        }
+    }
+
+    /// The end of the last merged pane, before which every offer is stale.
+    pub(crate) fn watermark(&self) -> Option<EventTime> {
+        self.merged.map(EventTime::from_millis)
+    }
+
+    /// Offers `shard`'s part of the pane starting at `pane_start`. Each
+    /// shard offers its parts in pane order, as its FIFO ring or socket
+    /// delivers them; a part of a pane that already merged is stale.
+    pub(crate) fn offer(&mut self, shard: usize, pane_start: i64, part: WorkerPane<R>) -> Offer {
+        if self.merged.is_some_and(|end| pane_start < end) {
+            return Offer::Stale;
+        }
+        let shards = self.excused.len();
+        let slots = self
+            .parts
+            .entry(pane_start)
+            .or_insert_with(|| (0..shards).map(|_| None).collect());
+        if slots[shard].is_some() {
+            return Offer::Duplicate;
+        }
+        slots[shard] = Some(part);
+        Offer::Held
+    }
+
+    /// Excuses `shard` from every pane ending at or before `through`.
+    pub(crate) fn excuse(&mut self, shard: usize, through: i64) {
+        self.excused[shard] = self.excused[shard].max(through);
+    }
+
+    /// Merges and releases the earliest offered pane if it is ready, or if
+    /// its only gaps are `gone` shards, or if it is `timed_out` (given the
+    /// pane start); `None` while it must wait. Call until `None`.
+    pub(crate) fn take_ready(
+        &mut self,
+        timed_out: impl Fn(i64) -> bool,
+        gone: impl Fn(usize) -> bool,
+    ) -> Option<MergedPane> {
+        let (&start, parts) = self.parts.first_key_value()?;
+        let end = start + self.interval_ms;
+        let missing: Vec<usize> = (0..parts.len())
+            .filter(|&shard| parts[shard].is_none() && self.excused[shard] < end)
+            .collect();
+        if missing.iter().any(|&shard| !gone(shard)) && !timed_out(start) {
+            return None;
+        }
+        let (_, parts) = self.parts.pop_first()?;
+        // Hash routing spreads every stratum evenly over the shards, so the
+        // present parts' mean population estimates each missing one's.
+        let present: Vec<u64> = parts.iter().flatten().map(WorkerPane::population).collect();
+        let mass: u128 = present.iter().map(|&items| u128::from(items)).sum();
+        let lost = (mass * missing.len() as u128 / present.len().max(1) as u128) as u64;
+        let exact = self.shards.directive() == Some(SizingDirective::Everything);
+        let parts = parts
+            .into_iter()
+            .map(|part| match part {
+                Some(part) => part,
+                None if exact => WorkerPane::Exact(Vec::new()),
+                None => WorkerPane::Sampled(StratifiedSample::new()),
+            })
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(pane_merge_seed(self.shards.seed, start));
+        let mut payload = self.shards.merge_panes(parts, &mut rng);
+        if let PanePayload::Stratified(stats) = &mut payload {
+            widen_for_shortfall(stats, lost);
+        }
+        self.merged = Some(end);
+        Some(MergedPane {
+            window: Window::new(EventTime::from_millis(start), EventTime::from_millis(end)),
+            payload,
+            lost,
+            missing,
+        })
     }
 }
 
@@ -718,6 +888,11 @@ impl PaneDriver {
         self.open
             .take()
             .map_or(Ok(()), |pane| sink.close_pane(pane))
+    }
+
+    /// The pane length in ms.
+    pub(crate) fn interval_ms(&self) -> i64 {
+        self.interval_ms
     }
 
     /// The open pane's start in ms, for engine snapshots (`None` before
@@ -1774,6 +1949,203 @@ mod tests {
             prop_assert!(panes.last().is_some_and(|(_, items)| !items.is_empty()));
             prop_assert_eq!(cut(&times, interval, &chunk_lens), panes);
         }
+    }
+
+    const BARRIER_SHARDS: usize = 3;
+    const BARRIER_PANE_MS: i64 = 100;
+
+    /// A three-shard barrier over 100 ms panes armed with `directive`. A
+    /// fixed per-stratum budget's merge draws from the RNG, so the bits of
+    /// its panes depend on the merge seed.
+    fn barrier(directive: SizingDirective) -> PaneBarrier<f64> {
+        let mut shards = ShardSet::new(BARRIER_SHARDS, RunSeed::new(9), Arc::new(|v: &f64| *v));
+        let _ = shards.rearm(directive, 0);
+        PaneBarrier::new(shards, BARRIER_PANE_MS)
+    }
+
+    /// Shard `shard`'s part of pane `pane`: two strata with full
+    /// 4-item reservoirs, holding `17 + 2·pane + 6·shard` items in all.
+    fn part(pane: u8, shard: usize) -> WorkerPane<f64> {
+        let sample = (0..2u32)
+            .map(|stratum| {
+                let base = f64::from(pane) * 100.0 + shard as f64 * 10.0 + f64::from(stratum);
+                let population = 8 + u64::from(pane) + shard as u64 * 3 + u64::from(stratum);
+                let items = (0..4).map(|i| base + f64::from(i)).collect();
+                sa_types::StratumSample::new(StratumId(stratum), items, population, 4)
+            })
+            .collect();
+        WorkerPane::Sampled(sample)
+    }
+
+    fn never(_: i64) -> bool {
+        false
+    }
+
+    fn none_gone(_: usize) -> bool {
+        false
+    }
+
+    /// Everything a released pane reports, bits included.
+    fn released(pane: &MergedPane) -> String {
+        format!("{pane:?}")
+    }
+
+    /// Offers `offers` in the order given, taking every pane the barrier
+    /// releases after each offer.
+    fn release_all(offers: &[(u8, usize)]) -> Vec<String> {
+        let mut barrier = barrier(SizingDirective::PerStratum(4));
+        let mut out = Vec::new();
+        for &(pane, shard) in offers {
+            let start = i64::from(pane) * BARRIER_PANE_MS;
+            assert_eq!(barrier.offer(shard, start, part(pane, shard)), Offer::Held);
+            while let Some(merged) = barrier.take_ready(never, none_gone) {
+                assert!(merged.missing.is_empty() && merged.lost == 0);
+                out.push(released(&merged));
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Offers in any interleaving across shards, each shard offering
+        /// its panes in order, release the same panes, in pane order, with
+        /// the same bits.
+        #[test]
+        fn barrier_offers_in_any_order_release_the_same_bits(
+            panes in 1u8..7,
+            keys in proptest::collection::vec(proptest::prelude::any::<u64>(), 18..19),
+        ) {
+            use proptest::prelude::*;
+            let mut offers: Vec<(u8, usize)> = (0..panes)
+                .flat_map(|pane| (0..BARRIER_SHARDS).map(move |shard| (pane, shard)))
+                .collect();
+            let in_order = release_all(&offers);
+            prop_assert_eq!(in_order.len(), usize::from(panes));
+            offers.sort_by_key(|&(pane, shard)| keys[usize::from(pane) * BARRIER_SHARDS + shard]);
+            // Keep the random interleaving of shards, but let each shard
+            // offer its own panes in order, as a FIFO channel delivers them.
+            let mut next = [0u8; BARRIER_SHARDS];
+            for (pane, shard) in &mut offers {
+                *pane = next[*shard];
+                next[*shard] += 1;
+            }
+            prop_assert_eq!(release_all(&offers), in_order);
+        }
+    }
+
+    #[test]
+    fn barrier_merges_in_shard_order_seeded_by_pane_start() {
+        let mut barrier = barrier(SizingDirective::PerStratum(4));
+        for shard in (0..BARRIER_SHARDS).rev() {
+            barrier.offer(shard, 200, part(2, shard));
+        }
+        let merged = barrier
+            .take_ready(never, none_gone)
+            .expect("every shard offered");
+        assert_eq!(
+            merged.window,
+            Window::new(EventTime::from_millis(200), EventTime::from_millis(300))
+        );
+        let parts = (0..BARRIER_SHARDS).map(|shard| part(2, shard)).collect();
+        let mut rng = SmallRng::seed_from_u64(pane_merge_seed(RunSeed::new(9), 200));
+        let oracle = barrier.shards.merge_panes(parts, &mut rng);
+        assert_eq!(format!("{:?}", merged.payload), format!("{oracle:?}"));
+        assert_eq!(
+            merged.payload.sampled(),
+            8,
+            "the budget binds, so the merge drew"
+        );
+    }
+
+    #[test]
+    fn barrier_excuse_releases_exactly_the_panes_it_covers() {
+        let mut barrier = barrier(SizingDirective::PerStratum(4));
+        for pane in 0..3u8 {
+            for shard in 0..2 {
+                barrier.offer(shard, i64::from(pane) * BARRIER_PANE_MS, part(pane, shard));
+            }
+        }
+        assert!(barrier.take_ready(never, none_gone).is_none());
+        // Through 200 covers the panes ending at 100 and 200, not [200, 300).
+        barrier.excuse(2, 200);
+        let starts: Vec<i64> = std::iter::from_fn(|| barrier.take_ready(never, none_gone))
+            .map(|merged| {
+                // Lossless: nothing missing, nothing widened.
+                assert!(merged.missing.is_empty() && merged.lost == 0);
+                let pane = (merged.window.start.as_millis() / BARRIER_PANE_MS) as u64;
+                assert_eq!(merged.payload.population(), 40 + 4 * pane);
+                merged.window.start.as_millis()
+            })
+            .collect();
+        assert_eq!(starts, [0, 100]);
+        barrier.excuse(2, 299);
+        assert!(barrier.take_ready(never, none_gone).is_none());
+        barrier.excuse(2, 300);
+        let last = barrier
+            .take_ready(never, none_gone)
+            .expect("excused through its end");
+        assert_eq!(last.window.start.as_millis(), 200);
+    }
+
+    #[test]
+    fn barrier_degraded_pane_reports_lost_mass_and_missing_shards() {
+        let mut barrier = barrier(SizingDirective::PerStratum(4));
+        barrier.offer(0, 0, part(0, 0)); // 17 items
+        barrier.offer(2, 0, part(0, 2)); // 29 items
+        barrier.offer(0, 100, part(1, 0));
+        barrier.offer(2, 100, part(1, 2));
+        assert!(
+            barrier.take_ready(never, none_gone).is_none(),
+            "shard 1 may still offer"
+        );
+        let timed_out = barrier
+            .take_ready(|start| start == 0, none_gone)
+            .expect("timed out");
+        assert_eq!(timed_out.missing, [1]);
+        // The present shards' mean population, once per missing shard.
+        assert_eq!(timed_out.lost, (17 + 29) / 2);
+        assert_eq!(timed_out.payload.population(), 17 + 29 + 23);
+        assert!(barrier.take_ready(|start| start == 0, none_gone).is_none());
+        // A pane whose only gap is a gone shard merges degraded untimed.
+        let gone = barrier
+            .take_ready(never, |shard| shard == 1)
+            .expect("only gone is missing");
+        assert_eq!((gone.missing, gone.lost), (vec![1], (19 + 31) / 2));
+    }
+
+    #[test]
+    fn barrier_fills_an_exact_runs_gaps_with_empty_statistics() {
+        let mut barrier = barrier(SizingDirective::Everything);
+        barrier.offer(1, 0, WorkerPane::Exact(exact_stats(0, &[1.0, 2.0, 3.0])));
+        let merged = barrier.take_ready(|_| true, none_gone).expect("timed out");
+        assert_eq!(merged.missing, [0, 2]);
+        assert_eq!(merged.lost, 6);
+        assert_eq!(merged.payload.population(), 9);
+    }
+
+    #[test]
+    fn barrier_reports_stale_and_duplicate_offers_and_never_merges_them() {
+        let mut barrier = barrier(SizingDirective::PerStratum(4));
+        assert_eq!(barrier.offer(0, 0, part(0, 0)), Offer::Held);
+        assert_eq!(barrier.offer(0, 0, part(5, 0)), Offer::Duplicate);
+        barrier.offer(1, 0, part(0, 1));
+        barrier.offer(2, 0, part(0, 2));
+        let merged = barrier
+            .take_ready(never, none_gone)
+            .expect("every shard offered");
+        assert_eq!(
+            merged.payload.population(),
+            17 + 23 + 29,
+            "the first offer counts"
+        );
+        assert_eq!(barrier.watermark(), Some(EventTime::from_millis(100)));
+        assert_eq!(barrier.offer(1, 0, part(0, 1)), Offer::Stale);
+        assert!(
+            barrier.take_ready(|_| true, |_| true).is_none(),
+            "a stale part opens no pane"
+        );
     }
 
     #[test]

@@ -30,13 +30,15 @@
 //! * **Merge/ingest overlap** — at a pane boundary the engine broadcasts
 //!   the close and *returns immediately*: shards answer the close and
 //!   begin the next pane's chunks (already queued behind the close in
-//!   FIFO order) while the caller keeps routing. The barrier is settled —
-//!   answers collected, shard panes merged in canonical ascending-shard
-//!   order ([`ShardSet::merge_panes`]), the pane estimated and handed to
-//!   the shared [`ApproxRuntime`] — at the latest when the *next* pane
-//!   closes, and eagerly on `poll_windows`/`status`. Exactly one barrier
-//!   is ever in flight, so every close answer is attributable without
-//!   tags.
+//!   FIFO order) while the caller keeps routing. Each answer is offered to
+//!   the [`PaneBarrier`] the distributed coordinator merges through too,
+//!   which merges the shard panes in canonical ascending-shard order
+//!   ([`ShardSet::merge_panes`]) with the RNG seeded by
+//!   [`crate::pane_merge_seed`] from the pane start; the merged pane goes
+//!   to the shared [`ApproxRuntime`]. The close settles at the latest when
+//!   the *next* pane closes, and eagerly on `poll_windows`/`status`.
+//!   Exactly one close is ever in flight, so every answer is attributable
+//!   without tags.
 //!
 //! # Watermark and ordering semantics
 //!
@@ -55,18 +57,19 @@
 //! With one shard the engine stays bit-for-bit identical to the batched
 //! engine at the same seed and pane interval (`tests/engine_parity.rs`
 //! holds that oracle); with many shards the answers agree statistically,
-//! within the estimators' confidence bounds.
+//! within the estimators' confidence bounds, and bit for bit with a
+//! distributed run of as many workers at the same seed under every budget
+//! (`tests/distributed.rs`).
 
 use crate::checkpoint::{require_codec, require_engine, RecordCodec};
-use crate::combine::PanePayload;
 use crate::cost::{PolicyHandle, SizingDirective};
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::query::Query;
-use crate::runtime::{ApproxRuntime, IntervalWorker, PaneDriver, PaneSink, ShardSet, WorkerPane};
+use crate::runtime::{
+    ApproxRuntime, IntervalWorker, Offer, PaneBarrier, PaneDriver, PaneSink, ShardSet, WorkerPane,
+};
 use crossbeam::spsc;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use sa_types::wire::put_varint;
 use sa_types::{
     EngineSnapshot, RunSeed, SaError, ShardIngest, StreamItem, Window, WireDecode, WireEncode,
@@ -189,7 +192,7 @@ enum ToShard<R> {
     Close,
     /// Serialize the shard's worker state (for a checkpoint) and answer
     /// with a [`FromShard::Snapshot`]. Sent only on a quiescent fabric —
-    /// after the pending barrier resolved and every buffer flushed — so
+    /// after the close in flight settled and every buffer flushed — so
     /// the encoded state is exactly the shard's view of the open pane.
     Snapshot(RecordCodec<R>),
 }
@@ -198,38 +201,20 @@ enum ToShard<R> {
 enum FromShard<R> {
     /// A drained chunk buffer, ready for the router to reuse.
     Buffer(Vec<StreamItem<R>>),
-    /// The shard's answer to the in-flight close barrier.
+    /// The shard's answer to the close in flight.
     Close(Box<ShardClose<R>>),
     /// The shard's answer to a [`ToShard::Snapshot`]: its serialized
     /// worker state (`Option<IntervalWorker>` as a tag byte + state).
     Snapshot(Vec<u8>),
 }
 
-/// One shard's answer to a close barrier: the shard index is implied by
-/// which return ring carried it.
+/// One shard's answer to a close: the shard index is implied by which
+/// return ring carried it, the pane by the one close in flight. The
+/// counters are the shard's lifetime totals, across rearms.
 struct ShardClose<R> {
     pane: WorkerPane<R>,
     ingested: u64,
     sampled: u64,
-}
-
-/// A pane whose close barrier has been broadcast but not yet resolved:
-/// the caller keeps routing the next pane while shard answers accumulate
-/// here, and the merge happens once all have arrived.
-struct PendingPane<R> {
-    window: Window,
-    arrived: u64,
-    /// Pane index for the canonical merge RNG seed.
-    idx: u64,
-    /// Time already spent broadcasting the close (the resolve adds its
-    /// collect-and-merge span before the total reaches the cost policy).
-    nanos: u64,
-    answers: Vec<Option<Box<ShardClose<R>>>>,
-    collected: usize,
-    /// This close is the retiring workers' last report (a directive
-    /// change armed replacements behind it): when resolving, fold the
-    /// settled counters into the lifetime base.
-    folds_counters: bool,
 }
 
 /// The shard worker loop: owns the shard's [`IntervalWorker`] between
@@ -243,7 +228,12 @@ fn shard_loop<R>(
     let mut worker: Option<IntervalWorker<R>> = None;
     while let Ok(command) = commands.pop() {
         match command {
-            ToShard::Arm(fresh) => worker = Some(*fresh),
+            ToShard::Arm(mut fresh) => {
+                if let Some(retiring) = &worker {
+                    fresh.inherit_counters(retiring);
+                }
+                worker = Some(*fresh);
+            }
             ToShard::Chunk(mut items) => {
                 let worker = worker.as_mut().expect("shard armed before items");
                 worker.observe_chunk(&mut items);
@@ -294,29 +284,25 @@ pub(crate) struct ShardedEngine<'p, R> {
 /// the ring fabric and turns a pane close into a deferred barrier.
 struct ShardedSink<'p, R> {
     runtime: ApproxRuntime<'p, R>,
-    shard_set: ShardSet<R>,
+    barrier: PaneBarrier<R>,
     config: ShardedConfig,
     to_shards: Vec<spsc::Producer<ToShard<R>>>,
     from_shards: Vec<spsc::Consumer<FromShard<R>>>,
     threads: Vec<JoinHandle<()>>,
     buffers: Vec<Vec<StreamItem<R>>>,
-    /// Drained chunk buffers returned by the shards, awaiting reuse.
+    /// Drained chunk buffers returned by the shards, awaiting reuse. No
+    /// cap is needed: a fresh buffer is only allocated when this is empty,
+    /// so the buffer population is bounded by the fabric's peak demand.
     free: Vec<Vec<StreamItem<R>>>,
     counters: Vec<ShardIngest>,
-    /// Counter totals folded in from workers retired by a directive
-    /// change: a [`ShardClose`] reports the *current* worker's lifetime
-    /// counters, so the session-facing totals are `base + worker`.
-    counter_base: Vec<ShardIngest>,
-    /// The one close barrier allowed in flight; `None` when fully merged.
-    pending: Option<PendingPane<R>>,
-    /// Per-shard worker-state answers to an in-flight snapshot request;
-    /// `None` when no snapshot is being collected.
-    pending_snapshots: Option<Vec<Option<Vec<u8>>>>,
+    /// The one close allowed in flight — its pane start and the time spent
+    /// broadcasting it — until the barrier merges the pane.
+    closing: Option<(i64, u64)>,
     pane_open: bool,
-    first_pane: bool,
     pane_arrived: u64,
-    prev_pane_arrived: usize,
-    pane_idx: u64,
+    /// Items of the last closed pane: the close in flight's arrivals, and
+    /// the next fraction-budget arm's volume hint.
+    prev_pane_arrived: u64,
     seq: u64,
     alive: bool,
 }
@@ -333,7 +319,10 @@ where
     ) -> Self {
         let driver = PaneDriver::new(config.pane_interval_ms, query.window());
         let runtime = ApproxRuntime::new(&query, policy, config.seed, config.shards);
-        let shard_set = ShardSet::new(config.shards, config.seed, query.projection());
+        let barrier = PaneBarrier::new(
+            ShardSet::new(config.shards, config.seed, query.projection()),
+            driver.interval_ms(),
+        );
         let mut to_shards = Vec::with_capacity(config.shards);
         let mut from_shards = Vec::with_capacity(config.shards);
         let mut threads = Vec::with_capacity(config.shards);
@@ -350,7 +339,7 @@ where
         }
         let sink = ShardedSink {
             runtime,
-            shard_set,
+            barrier,
             config,
             to_shards,
             from_shards,
@@ -365,19 +354,10 @@ where
                     ..ShardIngest::default()
                 })
                 .collect(),
-            counter_base: (0..config.shards)
-                .map(|shard| ShardIngest {
-                    shard,
-                    ..ShardIngest::default()
-                })
-                .collect(),
-            pending: None,
-            pending_snapshots: None,
+            closing: None,
             pane_open: false,
-            first_pane: true,
             pane_arrived: 0,
             prev_pane_arrived: 0,
-            pane_idx: 0,
             seq: 0,
             alive: true,
         };
@@ -406,40 +386,22 @@ where
         }
     }
 
-    /// Returns a drained buffer to the freelist. No cap is needed: a
-    /// fresh buffer is only ever allocated when the freelist is empty, so
-    /// the buffer population is bounded by the fabric's peak demand
-    /// (every ring slot plus one in the shard and one in the router, per
-    /// shard) — and dropping spares here would just force the router to
-    /// re-allocate them later.
-    fn recycle(&mut self, buffer: Vec<StreamItem<R>>) {
-        self.free.push(buffer);
-    }
-
     /// Pops everything currently waiting in one shard's return ring:
-    /// drained buffers go to the freelist, a close answer to the pending
-    /// barrier.
+    /// drained buffers go to the freelist, a close answer to the barrier.
     fn drain_returns(&mut self, shard: usize) -> Result<(), SaError> {
         loop {
             match self.from_shards[shard].try_pop() {
-                Ok(FromShard::Buffer(buffer)) => self.recycle(buffer),
+                Ok(FromShard::Buffer(buffer)) => self.free.push(buffer),
                 Ok(FromShard::Close(answer)) => {
-                    let pending = self
-                        .pending
-                        .as_mut()
-                        .expect("close answer without a pending barrier");
-                    debug_assert!(pending.answers[shard].is_none());
-                    pending.answers[shard] = Some(answer);
-                    pending.collected += 1;
+                    let (start, _) = self
+                        .closing
+                        .expect("close answer without a close in flight");
+                    self.counters[shard].ingested = answer.ingested;
+                    self.counters[shard].sampled = answer.sampled;
+                    let offered = self.barrier.offer(shard, start, answer.pane);
+                    debug_assert_eq!(offered, Offer::Held);
                 }
-                Ok(FromShard::Snapshot(state)) => {
-                    let slots = self
-                        .pending_snapshots
-                        .as_mut()
-                        .expect("snapshot answer without a snapshot request");
-                    debug_assert!(slots[shard].is_none());
-                    slots[shard] = Some(state);
-                }
+                Ok(FromShard::Snapshot(_)) => unreachable!("snapshot answers are awaited"),
                 Err(spsc::PopError::Empty) => return Ok(()),
                 Err(spsc::PopError::Disconnected) => return Err(self.dead()),
             }
@@ -483,24 +445,17 @@ where
             return Ok(());
         }
         let directive = self.runtime.interval_sizing();
-        let expected = if self.first_pane {
+        // Nothing armed yet: this is the first pane.
+        let expected = if self.barrier.shards.directive().is_none() {
             self.config.expected_pane_items
         } else {
-            self.prev_pane_arrived
+            self.prev_pane_arrived as usize
         };
-        if let Some(workers) = self.shard_set.rearm(directive, expected) {
-            // The retiring workers' final counters arrive with the close
-            // that is still in flight (if any): fold the base then. With
-            // no barrier pending the counters are already settled.
-            match self.pending.as_mut() {
-                Some(pending) => pending.folds_counters = true,
-                None => self.counter_base.clone_from(&self.counters),
-            }
+        if let Some(workers) = self.barrier.shards.rearm(directive, expected) {
             for (shard, worker) in workers.into_iter().enumerate() {
                 self.send(shard, ToShard::Arm(Box::new(worker)))?;
             }
         }
-        self.first_pane = false;
         self.pane_open = true;
         self.pane_arrived = 0;
         Ok(())
@@ -510,7 +465,7 @@ where
     /// buffer when it reaches chunk size.
     #[inline]
     fn route(&mut self, item: StreamItem<R>) -> Result<(), SaError> {
-        let shard = self.shard_set.route(item.stratum, self.seq);
+        let shard = self.barrier.shards.route(item.stratum, self.seq);
         self.seq += 1;
         self.buffers[shard].push(item);
         if self.buffers[shard].len() >= self.config.chunk_items {
@@ -529,7 +484,7 @@ where
         }
         if self.free.is_empty() {
             // Refill opportunistically before paying for an allocation.
-            for other in 0..self.shard_set.num_shards() {
+            for other in 0..self.config.shards {
                 self.drain_returns(other)?;
             }
         }
@@ -546,60 +501,54 @@ where
     }
 
     /// Closes the open pane *without waiting for the shards*: flushes
-    /// every buffer, broadcasts the close barrier and records the pane as
-    /// pending. Shards answer at their own pace and move straight on to
-    /// the next pane's chunks; the caller merges when the barrier
-    /// resolves. Strict depth-1: any previous barrier is settled first,
-    /// so every incoming answer belongs to exactly one pane.
+    /// every buffer and broadcasts the close. Shards answer at their own
+    /// pace and move straight on to the next pane's chunks; the caller
+    /// merges when the barrier has every answer. Strict depth-1: any
+    /// previous close is settled first, so every incoming answer belongs
+    /// to exactly one pane.
     fn begin_close(&mut self, window: Window) -> Result<(), SaError> {
-        self.resolve_pending()?;
-        // Only the barrier is clocked: routing stays clock-free, at the
+        self.settle(true)?;
+        // Only the close is clocked: routing stays clock-free, at the
         // price of process_nanos under-reporting the (concurrent)
         // per-item observe cost, like the aggregated engine.
         let closing = Instant::now();
-        let shards = self.shard_set.num_shards();
-        for shard in 0..shards {
+        let start = window.start.as_millis();
+        for shard in 0..self.config.shards {
             self.flush(shard)?;
         }
-        self.pending = Some(PendingPane {
-            window,
-            arrived: self.pane_arrived,
-            idx: self.pane_idx,
-            nanos: 0,
-            answers: (0..shards).map(|_| None).collect(),
-            collected: 0,
-            folds_counters: false,
-        });
-        for shard in 0..shards {
+        // Set before the sends: a send drains returns, and a fast shard's
+        // answer may already be among them.
+        self.closing = Some((start, 0));
+        for shard in 0..self.config.shards {
             self.send(shard, ToShard::Close)?;
         }
-        let pending = self.pending.as_mut().expect("created above");
-        pending.nanos += closing.elapsed().as_nanos() as u64;
-        self.prev_pane_arrived = self.pane_arrived as usize;
+        self.closing = Some((start, closing.elapsed().as_nanos() as u64));
+        self.prev_pane_arrived = self.pane_arrived;
         self.pane_open = false;
-        self.pane_idx += 1;
         Ok(())
     }
 
-    /// Settles the in-flight barrier, blocking until every shard has
-    /// answered: updates lifetime counters, merges the shard panes in
-    /// canonical ascending-shard order with the pane-seeded merge RNG,
-    /// hands the pane to the runtime and advances the watermark. A no-op
-    /// when nothing is pending.
-    fn resolve_pending(&mut self) -> Result<(), SaError> {
-        if self.pending.is_none() {
+    /// Settles the close in flight once the barrier has every shard's
+    /// answer — blocking until then when `wait`, else only if they are
+    /// already in (the overlap's happy path, merging mid-ingest without
+    /// waiting on a shard): hands the merged pane to the runtime and
+    /// advances the watermark. A no-op when nothing is in flight.
+    fn settle(&mut self, wait: bool) -> Result<(), SaError> {
+        self.check_alive()?;
+        let Some((_, nanos)) = self.closing else {
             return Ok(());
-        }
+        };
         let merging = Instant::now();
-        let shards = self.shard_set.num_shards();
         let mut spins = 0u32;
-        loop {
-            for shard in 0..shards {
+        let pane = loop {
+            for shard in 0..self.config.shards {
                 self.drain_returns(shard)?;
             }
-            let pending = self.pending.as_ref().expect("still pending");
-            if pending.collected == shards {
-                break;
+            if let Some(pane) = self.barrier.take_ready(|_| false, |_| false) {
+                break pane;
+            }
+            if !wait {
+                return Ok(());
             }
             spins += 1;
             if spins < 128 {
@@ -607,52 +556,16 @@ where
             } else {
                 std::thread::yield_now();
             }
-        }
-        let mut pending = self.pending.take().expect("resolved above");
-        let mut panes: Vec<WorkerPane<R>> = Vec::with_capacity(shards);
-        for (shard, slot) in pending.answers.iter_mut().enumerate() {
-            let answer = slot.take().expect("every shard answers one close");
-            self.counters[shard].ingested = self.counter_base[shard].ingested + answer.ingested;
-            self.counters[shard].sampled = self.counter_base[shard].sampled + answer.sampled;
-            panes.push(answer.pane);
-        }
-        if pending.folds_counters {
-            self.counter_base.clone_from(&self.counters);
-        }
-        let mut merge_rng = SmallRng::seed_from_u64(
-            self.config
-                .seed
-                .derive(0x5AADED)
-                .derive(pending.idx)
-                .value(),
+        };
+        self.closing = None;
+        let process_nanos = nanos + merging.elapsed().as_nanos() as u64;
+        self.runtime.ingest_interval(
+            pane.window,
+            pane.payload,
+            self.prev_pane_arrived,
+            process_nanos,
         );
-        let payload: PanePayload = self.shard_set.merge_panes(panes, &mut merge_rng);
-        let process_nanos = pending.nanos + merging.elapsed().as_nanos() as u64;
-        self.runtime
-            .ingest_interval(pending.window, payload, pending.arrived, process_nanos);
-        self.runtime.close_interval(pending.window.end);
-        Ok(())
-    }
-
-    /// Settles the in-flight barrier only if every shard has already
-    /// answered — the overlap's happy path, merging mid-ingest without
-    /// ever waiting on a shard.
-    fn try_resolve(&mut self) -> Result<(), SaError> {
-        self.check_alive()?;
-        if self.pending.is_none() {
-            return Ok(());
-        }
-        let shards = self.shard_set.num_shards();
-        for shard in 0..shards {
-            self.drain_returns(shard)?;
-        }
-        let complete = self
-            .pending
-            .as_ref()
-            .is_some_and(|pending| pending.collected == shards);
-        if complete {
-            self.resolve_pending()?;
-        }
+        self.runtime.close_interval(pane.window.end);
         Ok(())
     }
 }
@@ -695,25 +608,24 @@ where
     fn push_chunk(&mut self, items: Vec<StreamItem<R>>) -> Result<(), SaError> {
         // Merge mid-ingest when the previous pane's answers are already
         // in — one cheap ring sweep per chunk call, not per item.
-        self.sink.try_resolve()?;
+        self.sink.settle(false)?;
         self.driver.push_chunk(items, &mut self.sink)
     }
 
     fn poll_windows(&mut self) -> Vec<WindowResult> {
-        // Settle a completed barrier so its windows are observable now;
-        // an error here resurfaces on the next push/finish.
-        let _ = self.sink.try_resolve();
+        // Settle a fully answered close so its windows are observable
+        // now; an error here resurfaces on the next push/finish.
+        let _ = self.sink.settle(false);
         self.sink.runtime.take_windows()
     }
 
     fn settle(&mut self) -> Result<(), SaError> {
-        self.sink.check_alive()?;
-        self.sink.resolve_pending()
+        self.sink.settle(true)
     }
 
     fn shard_ingest(&self) -> Vec<ShardIngest> {
-        // Read-only by contract: counters are as of the last settled
-        // barrier — callers that need them no staler than the last closed
+        // Read-only by contract: counters are as of the last answered
+        // close — callers that need them no staler than the last closed
         // pane call `settle` first (the session's status path does).
         self.sink.counters.clone()
     }
@@ -725,50 +637,41 @@ where
     fn snapshot(&mut self) -> Result<EngineSnapshot, SaError> {
         let codec = require_codec(self.codec)?;
         let sink = &mut self.sink;
-        sink.check_alive()?;
-        // Quiesce the fabric: settle the in-flight barrier, hand every
+        // Quiesce the fabric: settle the close in flight, hand every
         // buffered item to its shard, then ask each shard (FIFO behind
         // those chunks) for its serialized worker. The engine keeps
-        // running afterwards — the snapshot is a pure read.
-        sink.resolve_pending()?;
-        let shards = sink.shard_set.num_shards();
-        for shard in 0..shards {
+        // running afterwards — the snapshot is a pure read. The barrier
+        // is empty now, so it holds no state.
+        sink.settle(true)?;
+        for shard in 0..sink.config.shards {
             sink.flush(shard)?;
         }
-        sink.pending_snapshots = Some((0..shards).map(|_| None).collect());
-        for shard in 0..shards {
-            sink.send(shard, ToShard::Snapshot(codec))?;
-        }
-        let mut spins = 0u32;
-        loop {
-            for shard in 0..shards {
-                sink.drain_returns(shard)?;
-            }
-            let slots = sink.pending_snapshots.as_ref().expect("requested above");
-            if slots.iter().all(Option::is_some) {
-                break;
-            }
-            spins += 1;
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        let slots = sink.pending_snapshots.take().expect("collected above");
         let mut state = Vec::new();
         self.driver.start().encode(&mut state);
         put_varint(&mut state, sink.seq);
-        put_varint(&mut state, sink.pane_idx);
         put_varint(&mut state, sink.pane_arrived);
-        put_varint(&mut state, sink.prev_pane_arrived as u64);
-        sink.first_pane.encode(&mut state);
+        put_varint(&mut state, sink.prev_pane_arrived);
         sink.pane_open.encode(&mut state);
-        sink.counters.encode(&mut state);
-        sink.counter_base.encode(&mut state);
-        sink.shard_set.directive().encode(&mut state);
-        for blob in &slots {
-            state.extend_from_slice(blob.as_deref().expect("every slot collected"));
+        // The chunk counters depend on thread timing, so they are status,
+        // not state: a resumed engine counts them from zero.
+        let counters: Vec<(u64, u64)> = sink
+            .counters
+            .iter()
+            .map(|shard| (shard.ingested, shard.sampled))
+            .collect();
+        counters.encode(&mut state);
+        sink.barrier.shards.directive().encode(&mut state);
+        for shard in 0..sink.config.shards {
+            sink.send(shard, ToShard::Snapshot(codec))?;
+            // With no close in flight, only drained buffers come first.
+            loop {
+                match sink.from_shards[shard].pop() {
+                    Ok(FromShard::Buffer(buffer)) => sink.free.push(buffer),
+                    Ok(FromShard::Snapshot(blob)) => break state.extend_from_slice(&blob),
+                    Ok(FromShard::Close(_)) => unreachable!("no close in flight"),
+                    Err(_) => return Err(sink.dead()),
+                }
+            }
         }
         sink.runtime.encode_state(codec, &mut state);
         Ok(EngineSnapshot {
@@ -786,26 +689,27 @@ where
         let mut r = WireReader::new(&snapshot.state);
         self.driver.restore_start(Option::decode(&mut r)?)?;
         sink.seq = r.read_varint()?;
-        sink.pane_idx = r.read_varint()?;
         sink.pane_arrived = r.read_varint()?;
-        sink.prev_pane_arrived = usize::decode(&mut r)?;
-        sink.first_pane = bool::decode(&mut r)?;
+        sink.prev_pane_arrived = r.read_varint()?;
         sink.pane_open = bool::decode(&mut r)?;
-        sink.counters = Vec::decode(&mut r)?;
-        sink.counter_base = Vec::decode(&mut r)?;
-        let shards = sink.shard_set.num_shards();
-        if sink.counters.len() != shards || sink.counter_base.len() != shards {
+        let counters = Vec::<(u64, u64)>::decode(&mut r)?;
+        let shards = sink.config.shards;
+        if counters.len() != shards {
             return Err(SaError::Checkpoint(format!(
                 "snapshot covers {} shards but the engine has {shards}",
-                sink.counters.len()
+                counters.len()
             )));
+        }
+        for (shard, (ingested, sampled)) in sink.counters.iter_mut().zip(counters) {
+            shard.ingested = ingested;
+            shard.sampled = sampled;
         }
         let directive = Option::<SizingDirective>::decode(&mut r)?;
         // Force the armed directive so the next `ensure_armed` compares
         // against what the restored workers are actually running, instead
         // of rearming fresh ones over them.
-        sink.shard_set.force_directive(directive);
-        let proj = sink.shard_set.projection();
+        sink.barrier.shards.force_directive(directive);
+        let proj = sink.barrier.shards.projection();
         for shard in 0..shards {
             match u8::decode(&mut r)? {
                 0 => {}
@@ -826,9 +730,7 @@ where
         // A dead shard loses its trailing pane, like an operator death on
         // the pipelined engine.
         let _ = self.driver.finish(&mut self.sink);
-        if self.sink.alive {
-            let _ = self.sink.resolve_pending();
-        }
+        let _ = self.sink.settle(true);
         let ShardedSink {
             runtime,
             to_shards,

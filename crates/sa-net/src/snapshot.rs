@@ -45,7 +45,14 @@ pub const SNAPSHOT_MAGIC: [u8; 2] = *b"SK";
 /// Version 2: serialized `WindowResult`s inside finalizer state carry
 /// degraded-merge accounting (`degraded`, `lost_items`), and the window
 /// finalizer persists its degraded-pane ledger.
-pub const SNAPSHOT_VERSION: u8 = 2;
+///
+/// Version 3: the sharded engine merges each pane with the RNG seeded by
+/// the pane's start, as the distributed coordinator does, so its state
+/// drops the pane index. It keeps each shard's `ingested`/`sampled`
+/// lifetime counters (a shard worker's counters now span rearms) and
+/// drops the timing-dependent chunk counters, which restart at zero on
+/// resume. Version 2 snapshots are refused.
+pub const SNAPSHOT_VERSION: u8 = 3;
 
 /// Bytes in the fixed snapshot header.
 pub const SNAPSHOT_HEADER_LEN: usize = 7;

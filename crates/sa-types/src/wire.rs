@@ -45,7 +45,7 @@ use crate::item::{EventTime, StratumId};
 use crate::result::{ApproxResult, ErrorBound, WindowResult};
 use crate::sample::{StratifiedSample, StratumSample};
 use crate::seed::RunSeed;
-use crate::session::{IngestCounters, ShardIngest};
+use crate::session::IngestCounters;
 use crate::window::{Window, WindowSpec};
 
 /// Serializes a value into the workspace wire format.
@@ -716,7 +716,7 @@ wire_struct!(ApproxResult {
 });
 
 // Sealed snapshots store these tags (engine sampler pools), so the table
-// is fixed at 1–4 for as long as `SNAPSHOT_VERSION` is 2.
+// is fixed at 1–4 for as long as `SNAPSHOT_VERSION` is 3.
 wire_enum!(SizingDirective {
     1 => Fraction(f),
     2 => PerStratum(n),
@@ -737,14 +737,6 @@ wire_struct!(WindowResult {
 wire_struct!(IngestCounters {
     ingested,
     dropped_late
-});
-
-wire_struct!(ShardIngest {
-    shard,
-    ingested,
-    sampled,
-    chunks_routed,
-    chunks_recycled,
 });
 
 // Hand-written: generic, and checks its item count against its population.
@@ -871,13 +863,6 @@ mod tests {
         roundtrip(&IngestCounters {
             ingested: 10,
             dropped_late: 2,
-        });
-        roundtrip(&ShardIngest {
-            shard: 3,
-            ingested: 99,
-            sampled: 7,
-            chunks_routed: 12,
-            chunks_recycled: 11,
         });
         roundtrip(&String::from("aggregated"));
         roundtrip(&String::new());

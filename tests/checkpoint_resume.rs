@@ -14,8 +14,8 @@ use sa_types::{
 use sa_workloads::{Distribution, Mix, SubStream};
 use streamapprox::{
     open_session_snapshot, seal_session_snapshot, AggregatedConfig, BatchedConfig, BatchedSystem,
-    CheckpointStore, FileCheckpointStore, FixedFraction, Query, ShardedConfig, StreamApprox,
-    WindowResult,
+    CheckpointStore, FileCheckpointStore, FixedFraction, FixedPerStratum, Query, ShardedConfig,
+    StreamApprox, WindowResult,
 };
 
 fn items(seed: u64) -> Vec<StreamItem<f64>> {
@@ -528,6 +528,65 @@ fn file_store_round_trips_a_kill_restore() {
     assert_eq!(out.windows, oracle_out.windows);
     assert_eq!(out.items_ingested, oracle_out.items_ingested);
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The sharded engine at N = 2 under a fixed per-stratum budget.
+fn sharded_per_stratum(policy: &mut FixedPerStratum) -> StreamApprox<'_, f64> {
+    StreamApprox::new(query(), policy).checkpointable().sharded(
+        ShardedConfig::new(2)
+            .with_pane_interval_ms(500)
+            .with_seed(0xC0DE_u64),
+    )
+}
+
+/// Every row above runs a fraction budget, whose shard merge draws no
+/// randomness. A fixed per-stratum budget's merge does draw, so this row
+/// checks that a resumed sharded engine draws each pane's merge exactly
+/// as the uninterrupted run does: checkpointed mid-pane and at a pane
+/// boundary, the stitched run matches the oracle bit for bit.
+#[test]
+fn sharded_resume_under_a_merge_drawing_budget_is_bit_identical() {
+    let stream = items(31);
+    let mut oracle_policy = FixedPerStratum(16);
+    let mut oracle = sharded_per_stratum(&mut oracle_policy).start();
+    oracle.push_batch(stream.iter().copied()).expect("in order");
+    let oracle_out = oracle.finish();
+    assert!(
+        oracle_out.items_aggregated < oracle_out.items_ingested / 4,
+        "the budget must bind, or the merge draws nothing"
+    );
+    let boundary = stream
+        .iter()
+        .position(|i| i.time >= EventTime::from_millis(2_000))
+        .expect("5s stream crosses 2s");
+    for split in [stream.len() * 37 / 100, boundary] {
+        let mut first_policy = FixedPerStratum(16);
+        let mut first = sharded_per_stratum(&mut first_policy).start();
+        first
+            .push_batch(stream[..split].iter().copied())
+            .expect("in order");
+        let mut windows = first.poll_windows();
+        let sealed =
+            seal_session_snapshot(&first.checkpoint().expect("checkpointable")).expect("seal");
+        drop(first);
+
+        let snapshot = open_session_snapshot(&sealed).expect("open");
+        let mut resumed_policy = FixedPerStratum(16);
+        let mut resumed = sharded_per_stratum(&mut resumed_policy)
+            .resume(&snapshot)
+            .expect("matching builder restores");
+        resumed
+            .push_batch(stream[split..].iter().copied())
+            .expect("in order");
+        let out = resumed.finish();
+        windows.extend(out.windows);
+        assert_eq!(windows.len(), oracle_out.windows.len(), "split {split}");
+        for (a, b) in windows.iter().zip(&oracle_out.windows) {
+            assert_bit_identical(a, b);
+        }
+        assert_eq!(out.items_ingested, oracle_out.items_ingested);
+        assert_eq!(out.items_aggregated, oracle_out.items_aggregated);
+    }
 }
 
 /// Checkpointing is opt-in and guarded: a session built without

@@ -25,8 +25,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 use streamapprox::{
     connect_worker, pane_merge_seed, ApproxSession, CostPolicy, DistributedConfig, FixedFraction,
-    FixedPerStratum, Query, RunOutput, ShardSet, SizingDirective, StreamApprox, WindowFinalizer,
-    WindowResult, WorkerPane,
+    FixedPerStratum, Query, RunOutput, ShardSet, ShardedConfig, SizingDirective, StreamApprox,
+    TokenPolicy, WindowFinalizer, WindowResult, WorkerPane,
 };
 
 const WORKERS: usize = 3;
@@ -54,7 +54,8 @@ fn policy_for(directive: SizingDirective) -> Box<dyn CostPolicy> {
         SizingDirective::PerStratum(n) => Box::new(FixedPerStratum(n)),
         // FixedFraction(1.0) degrades to the exact path by design.
         SizingDirective::Everything => Box::new(FixedFraction(1.0)),
-        SizingDirective::SharedTotal(_) => unreachable!("not exercised here"),
+        // One token per item: the token budget is the shared total.
+        SizingDirective::SharedTotal(n) => Box::new(TokenPolicy::new(n as u64, 1)),
     }
 }
 
@@ -392,4 +393,68 @@ fn worker_disconnect_mid_pane_degrades_instead_of_hanging() {
         let (lo, hi) = w.mean.interval();
         assert!(lo <= w.mean.value && w.mean.value <= hi);
     }
+}
+
+/// The in-process counterpart of [`distributed_run`]: the sharded engine
+/// at N = K over the whole stream, which it routes itself.
+fn sharded_run(
+    items: &[StreamItem<f64>],
+    seed: RunSeed,
+    directive: SizingDirective,
+    window: WindowSpec,
+) -> RunOutput {
+    let mut session = StreamApprox::new(query().with_window(window), policy_for(directive))
+        .sharded(
+            ShardedConfig::new(WORKERS)
+                .with_seed(seed)
+                .with_expected_pane_items(EXPECTED_PANE_ITEMS),
+        )
+        .start();
+    session
+        .push_batch(items.iter().copied())
+        .expect("the stream is event-time ordered");
+    session.finish()
+}
+
+/// Distributed K = 3 equals sharded N = 3 bit for bit: both tiers close
+/// their panes through one barrier that merges the same per-shard
+/// samplers in the same order under the pane-start-seeded RNG. Both also
+/// match the hand-built single-process oracle.
+fn assert_tiers_agree(directive: SizingDirective) {
+    let seed = RunSeed::new(11);
+    let window = WindowSpec::sliding_millis(2_000, 1_000);
+    let items = skewed_stream(6_000);
+    let shards = partition(&items, seed);
+    let reference = reference_windows(&shards, seed, directive, window);
+    let distributed = distributed_run(shards, seed, directive, window);
+    let sharded = sharded_run(&items, seed, directive, window);
+    assert!(!sharded.windows.is_empty());
+    assert_eq!(
+        format!("{:?}", distributed.windows),
+        format!("{:?}", sharded.windows),
+        "{directive:?}: distributed K=3 and sharded N=3 disagree"
+    );
+    assert_eq!(distributed.items_ingested, sharded.items_ingested);
+    assert_eq!(distributed.items_aggregated, sharded.items_aggregated);
+    assert_bit_identical(&distributed.windows, &reference);
+}
+
+#[test]
+fn distributed_equals_sharded_bit_for_bit_fraction() {
+    assert_tiers_agree(SizingDirective::Fraction(0.2));
+}
+
+#[test]
+fn distributed_equals_sharded_bit_for_bit_per_stratum() {
+    assert_tiers_agree(SizingDirective::PerStratum(24));
+}
+
+#[test]
+fn distributed_equals_sharded_bit_for_bit_shared_total() {
+    assert_tiers_agree(SizingDirective::SharedTotal(60));
+}
+
+#[test]
+fn distributed_equals_sharded_bit_for_bit_everything() {
+    assert_tiers_agree(SizingDirective::Everything);
 }

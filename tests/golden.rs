@@ -12,7 +12,11 @@
 //!
 //! A deliberate format change bumps `sa_net::WIRE_VERSION` or
 //! `sa_net::SNAPSHOT_VERSION` and adds files; it never rewrites existing
-//! ones. Regenerate the corpus with
+//! ones. The snapshots of a version this build no longer speaks stay in
+//! the corpus, and [`older_snapshots_are_refused`] pins that they are
+//! refused, never misread. The two frames that carry a sealed snapshot
+//! carry the version 2 worker snapshot's committed bytes: to the frame
+//! codec they are opaque. Regenerate the corpus with
 //!
 //! ```text
 //! cargo test -q --test golden -- --ignored regenerate_golden_corpus
@@ -22,7 +26,7 @@ use sa_batched::Cluster;
 use sa_net::frame::{read_message, write_message};
 use sa_net::{Assignment, Digest, DigestPayload, Heartbeat, Message};
 use sa_types::{
-    Confidence, EventTime, IngestCounters, RunSeed, StratumId, StreamItem, Window, WindowResult,
+    Confidence, EventTime, IngestCounters, RunSeed, SaError, StreamItem, Window, WindowResult,
     WindowSpec,
 };
 use sa_workloads::Mix;
@@ -33,7 +37,7 @@ use std::time::Duration;
 use streamapprox::{
     connect_worker, open_session_snapshot, sampler_sizing, seal_session_snapshot, AggregatedConfig,
     ApproxSession, BatchedConfig, BatchedSystem, DistributedConfig, FixedFraction, IntervalWorker,
-    Query, RecordCodec, ShardSet, ShardedConfig, SizingDirective, StreamApprox, WorkerPane,
+    Query, RecordCodec, ShardedConfig, SizingDirective, StreamApprox, WorkerPane,
 };
 
 const SEED: u64 = 42;
@@ -48,27 +52,6 @@ fn query() -> Query<f64> {
 
 fn stream() -> Vec<StreamItem<f64>> {
     Mix::gaussian([400.0, 100.0, 20.0]).generate(END_MS, SEED)
-}
-
-/// The stream with strata re-drawn so that each pane routes wholly to one
-/// of two shards, alternating. Every pane close then flushes one routing
-/// buffer against a freelist the previous barrier already settled, so the
-/// fabric's chunk counters — part of the sharded snapshot — do not depend
-/// on thread timing.
-fn alternating_shard_stream() -> Vec<StreamItem<f64>> {
-    let router = ShardSet::<f64>::new(2, RunSeed::new(SEED), Arc::new(|v| *v));
-    stream()
-        .into_iter()
-        .enumerate()
-        .map(|(seq, mut item)| {
-            let shard = (item.time.as_millis() / PANE_MS) as usize % 2;
-            item.stratum = (0..)
-                .map(StratumId)
-                .find(|&s| router.route(s, seq as u64) == shard)
-                .expect("some stratum routes to each shard");
-            item
-        })
-        .collect()
 }
 
 /// The engines whose snapshots a local builder can resume.
@@ -97,15 +80,12 @@ fn builder(engine: LocalEngine, policy: &mut FixedFraction) -> StreamApprox<'_, 
     }
 }
 
-/// A local engine's sealed snapshot, taken mid-pane.
+/// A local engine's sealed snapshot, taken mid-pane. The sharded engine's
+/// routing spreads every pane over both shards.
 fn local_snapshot(engine: LocalEngine) -> Vec<u8> {
-    let items = match engine {
-        LocalEngine::Sharded => alternating_shard_stream(),
-        _ => stream(),
-    };
     let mut policy = FixedFraction(FRACTION);
     let mut session = builder(engine, &mut policy).start();
-    session.push_batch(items).expect("in order");
+    session.push_batch(stream()).expect("in order");
     let snapshot = session.checkpoint().expect("checkpointable engine");
     let _ = session.finish();
     seal_session_snapshot(&snapshot).expect("seal")
@@ -204,9 +184,17 @@ enum Kind {
     Snapshot(Option<LocalEngine>),
 }
 
-/// Every corpus file, rebuilt from the fixed seeds.
+/// The snapshot files of format version 2, which this build refuses.
+const V2_SNAPSHOTS: [&str; 4] = [
+    "snapshot-aggregated",
+    "snapshot-batched",
+    "snapshot-sharded-2",
+    "snapshot-digest-k1",
+];
+
+/// Every corpus file of the current formats, rebuilt from the fixed seeds.
 fn corpus() -> Vec<(&'static str, Kind, Vec<u8>)> {
-    let handoff = digest_snapshot();
+    let handoff = std::fs::read(path("snapshot-digest-k1")).expect("the v2 worker snapshot");
     let messages = [
         (
             "frame-hello-join",
@@ -285,13 +273,17 @@ fn corpus() -> Vec<(&'static str, Kind, Vec<u8>)> {
         .map(|(name, message)| (*name, Kind::Frame, frame(message)))
         .collect();
     for (name, engine) in [
-        ("snapshot-aggregated", LocalEngine::Aggregated),
-        ("snapshot-batched", LocalEngine::Batched),
-        ("snapshot-sharded-2", LocalEngine::Sharded),
+        ("snapshot-aggregated-v3", LocalEngine::Aggregated),
+        ("snapshot-batched-v3", LocalEngine::Batched),
+        ("snapshot-sharded-2-v3", LocalEngine::Sharded),
     ] {
         corpus.push((name, Kind::Snapshot(Some(engine)), local_snapshot(engine)));
     }
-    corpus.push(("snapshot-digest-k1", Kind::Snapshot(None), handoff));
+    corpus.push((
+        "snapshot-digest-k1-v3",
+        Kind::Snapshot(None),
+        digest_snapshot(),
+    ));
     corpus
 }
 
@@ -340,6 +332,20 @@ fn golden_corpus_is_pinned() {
             reencode(name, kind, &file) == file,
             "{name}: decoding and re-encoding changed the bytes"
         );
+    }
+}
+
+#[test]
+fn older_snapshots_are_refused() {
+    for name in V2_SNAPSHOTS {
+        let file = std::fs::read(path(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        match open_session_snapshot(&file) {
+            Err(SaError::Checkpoint(message)) => assert!(
+                message.contains("version 2"),
+                "{name}: the refusal must name version 2: {message}"
+            ),
+            other => panic!("{name}: a version 2 snapshot must be refused, got {other:?}"),
+        }
     }
 }
 
