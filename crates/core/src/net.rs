@@ -48,7 +48,10 @@
 //!          `dead_after()`   ▼  │
 //!                           Dead ──────────────────▶ Retired
 //!                                 no replacement within
-//!                                 `backoff`
+//!                                 `backoff`; for the panes,
+//!                                 at once when the connection
+//!                                 dropped and no handoff is
+//!                                 possible
 //! ```
 //!
 //! * **Liveness.** Workers heartbeat automatically every
@@ -61,7 +64,18 @@
 //!   was declared dead but never replaced revives it.
 //! * **Degraded merges.** A pane blocked on a dead or straggling worker
 //!   for longer than `pane_timeout` (and every pane a `Retired` worker
-//!   can no longer serve) merges from the digests that did arrive. The
+//!   can no longer serve) merges from the digests that did arrive. A
+//!   worker whose connection dropped and whose slot offers no handoff —
+//!   it never published a checkpoint, or its respawn cap is spent — is
+//!   reported `Retired` the moment the drop is seen: no replacement could
+//!   refill its panes faster than a fresh replay, so they merge now
+//!   rather than after `backoff`, and [`DistributedSession::finish`]
+//!   returns without waiting it out. The slot stays adoptable until
+//!   `backoff` all the same; a replacement that joins in time serves
+//!   the panes not yet merged. A worker that only fell silent keeps the
+//!   `Dead` → `backoff` → `Retired` path, since a paused process can
+//!   still revive, and so does one with a published checkpoint, whose
+//!   replacement can resume without loss. The
 //!   missing shards' mass is estimated from the present digests,
 //!   populations are inflated Horvitz–Thompson-style
 //!   ([`widen_for_shortfall`]) so confidence intervals widen to cover the
@@ -723,27 +737,42 @@ impl DistributedSession {
 
     /// Declares a worker dead: its shard opens for adoption and its panes
     /// stop being waited on once the fault windows elapse.
-    fn mark_dead(&mut self, worker: u32) {
+    ///
+    /// A worker whose connection dropped can never revive, so when its
+    /// slot also offers no handoff — no published checkpoint, or the
+    /// respawn cap spent — nothing can refill its panes faster than a
+    /// fresh replay, and it is reported `Retired` at once: its panes stop
+    /// waiting now instead of after `backoff`. The slot itself stays
+    /// adoptable until `backoff` elapses.
+    fn mark_dead(&mut self, worker: u32, conn_lost: bool) {
+        let handoff = {
+            let t = lock(&self.table);
+            let slot = &t.slots[worker as usize];
+            !slot.snapshot.is_empty() && slot.respawns < self.fault.max_respawn
+        };
         let Some(peer) = self.workers.get_mut(&worker) else {
             return;
         };
-        if peer.done
-            || matches!(
-                peer.status.health,
-                WorkerHealth::Dead | WorkerHealth::Retired
-            )
-        {
+        if peer.done || peer.status.health == WorkerHealth::Retired {
             return;
         }
-        peer.status.health = WorkerHealth::Dead;
-        peer.died_at = Some(Instant::now());
+        if peer.status.health != WorkerHealth::Dead {
+            peer.died_at = Some(Instant::now());
+        }
+        peer.status.health = if conn_lost && !handoff {
+            WorkerHealth::Retired
+        } else {
+            WorkerHealth::Dead
+        };
         let gen = peer.gen;
         self.set_slot_state(worker, gen, SlotState::Dead);
     }
 
     /// Applies the fault policy's clocks: heartbeat misses demote workers
     /// to `Suspect` then `Dead`, and dead shards with no replacement
-    /// inside the backoff retire for good.
+    /// inside the backoff retire for good (a worker already reported
+    /// `Retired` by [`mark_dead`](Self::mark_dead) closes its slot to
+    /// adoption then).
     fn check_liveness(&mut self) {
         let dead_after = self.fault.dead_after();
         let suspect_after = self.fault.heartbeat_interval * 2;
@@ -754,13 +783,14 @@ impl DistributedSession {
                 continue;
             }
             match peer.status.health {
-                WorkerHealth::Done | WorkerHealth::Retired => {}
-                WorkerHealth::Dead => {
+                WorkerHealth::Done => {}
+                WorkerHealth::Dead | WorkerHealth::Retired => {
                     if peer
                         .died_at
                         .is_some_and(|died| died.elapsed() >= self.fault.backoff)
                     {
                         peer.status.health = WorkerHealth::Retired;
+                        peer.died_at = None;
                         to_retire.push((worker, peer.gen));
                     }
                 }
@@ -775,7 +805,7 @@ impl DistributedSession {
             }
         }
         for worker in to_kill {
-            self.mark_dead(worker);
+            self.mark_dead(worker, false);
         }
         for (worker, gen) in to_retire {
             self.set_slot_state(worker, gen, SlotState::Retired);
@@ -870,7 +900,7 @@ impl DistributedSession {
                     .map_or(true, |peer| peer.gen != gen || peer.done);
                 if !stale {
                     self.last_conn_error = Some((worker, error));
-                    self.mark_dead(worker);
+                    self.mark_dead(worker, true);
                 }
             }
             Event::Failed(error) => self.fail(error),
@@ -958,6 +988,8 @@ impl DistributedSession {
     /// down; dead-but-not-retired workers still hold it back — their
     /// replacement may yet refill it — until the straggler clock forces a
     /// degraded merge, so one wedged worker cannot stall the watermark.
+    /// (A dropped worker with no handoff is retired at once by
+    /// [`mark_dead`](Self::mark_dead), so it holds nothing back.)
     /// Workers a degraded merge missed are demoted to `Suspect`.
     fn merge_ready_panes(&mut self) {
         if self.error.is_some() {
@@ -1194,12 +1226,29 @@ struct WorkerShared {
 const NO_TIME: i64 = i64::MIN;
 
 impl WorkerShared {
-    fn send(&self, message: &Message) -> Result<(), SaError> {
-        let mut stream = self
-            .stream
+    fn lock_stream(&self) -> MutexGuard<'_, TcpStream> {
+        self.stream
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let sent = write_message(&mut *stream, message);
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn send(&self, message: &Message) -> Result<(), SaError> {
+        self.write(&mut self.lock_stream(), message)
+    }
+
+    /// Sends one heartbeat unless the engine has stopped them. `stop` is
+    /// read under the stream lock, so no heartbeat follows a frame sent
+    /// after `stop` was set.
+    fn heartbeat(&self) -> Result<(), SaError> {
+        let mut stream = self.lock_stream();
+        if self.stop.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        self.write(&mut stream, &self.heartbeat_message())
+    }
+
+    fn write(&self, stream: &mut TcpStream, message: &Message) -> Result<(), SaError> {
+        let sent = write_message(stream, message);
         if sent.is_err() {
             self.alive.store(false, Ordering::Release);
         }
@@ -1247,7 +1296,7 @@ fn heartbeat_loop(shared: Arc<WorkerShared>, interval: Duration) {
             continue;
         }
         last = Instant::now();
-        if shared.send(&shared.heartbeat_message()).is_err() {
+        if shared.heartbeat().is_err() {
             return;
         }
     }
@@ -1442,6 +1491,13 @@ pub fn connect_worker<R>(
 /// and replay from the start of the shard's log. Either way the
 /// coordinator drops digests for panes it already merged and duplicates
 /// of the predecessor's deliveries, so the replay never double-counts.
+///
+/// A shard that died without publishing a checkpoint stops holding panes
+/// back the moment its connection drops, so the coordinator goes on
+/// merging them degraded while the replacement starts up: such a
+/// replacement serves only the panes not yet merged when its digests
+/// arrive. Only a handed-off snapshot lets a rejoin refill the dead
+/// shard's panes without loss.
 ///
 /// The coordinator holds the connection until a shard actually dies, for
 /// at most its fault policy's `pane_timeout` — so a standby replacement
@@ -1681,6 +1737,10 @@ impl<R> Engine<R> for DigestEngine<R> {
         let mut windows = Vec::new();
         if this.sink.check_alive().is_ok() {
             let flushed = this.driver.finish(&mut this.sink).is_ok();
+            // The coordinator stops reading at `Shutdown`, and closing a
+            // socket with unread input resets it, discarding the windows
+            // not yet drained here: no heartbeat may follow the goodbye.
+            this.sink.shared.stop.store(true, Ordering::Release);
             let goodbye = flushed
                 && this
                     .sink
@@ -1693,9 +1753,6 @@ impl<R> Engine<R> for DigestEngine<R> {
                 // The coordinator streams results as windows finalize and
                 // closes the connection once the run is over; bound the
                 // drain so a stuck coordinator cannot hang the worker.
-                // Reads go through the second socket handle, so the
-                // heartbeat thread keeps the coordinator's liveness view
-                // green while the drain waits.
                 let _ = this.reader.set_read_timeout(Some(Duration::from_secs(30)));
                 while let Ok(Some(msg)) = read_message(&mut this.reader) {
                     if let Message::WindowResult(result) = msg {

@@ -49,6 +49,14 @@ pub struct FaultPolicy {
     pub max_respawn: u32,
     /// How long a dead worker's shard stays open for a replacement to
     /// rejoin before its panes degrade permanently.
+    ///
+    /// Panes wait out the backoff only while a replacement could refill
+    /// them: for a worker that fell silent (it may still revive), or one
+    /// whose connection dropped after it published a checkpoint a
+    /// replacement can resume from. A worker whose connection dropped
+    /// with no published checkpoint, or with its respawns spent, is
+    /// retired at once — its panes merge degraded from then on — though
+    /// its shard stays open for adoption until the backoff elapses.
     pub backoff: Duration,
 }
 
@@ -114,9 +122,13 @@ impl Default for FaultPolicy {
 /// The transitions are: `Healthy ↔ Suspect` (heartbeats late but inside
 /// the miss budget), `{Healthy, Suspect} → Dead` (miss budget exhausted or
 /// the connection dropped), `Dead → Healthy` (a replacement adopted the
-/// shard), `Dead → Retired` (the rejoin window or respawn budget ran out —
-/// the shard's remaining panes merge degraded), and `Healthy → Done`
-/// (clean shutdown).
+/// shard, or a silent worker spoke again), `Dead → Retired` (the rejoin
+/// window or respawn budget ran out — the shard's remaining panes merge
+/// degraded), `{Healthy, Suspect, Dead} → Retired` at once when the
+/// connection dropped and no handoff is possible (no published checkpoint,
+/// or the respawn budget spent), `Retired → Healthy` (a replacement adopted
+/// the shard inside the rejoin window), and `Healthy → Done` (clean
+/// shutdown).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WorkerHealth {
     /// Heartbeats and digests are arriving on schedule.
@@ -127,8 +139,9 @@ pub enum WorkerHealth {
     /// Declared dead (missed heartbeats, dropped connection, or a protocol
     /// violation); the shard is open for a replacement to adopt.
     Dead,
-    /// Permanently failed: the rejoin window or respawn budget ran out, and
-    /// the shard's remaining panes merge degraded.
+    /// Permanently failed: the rejoin window or respawn budget ran out, or
+    /// the connection dropped with no handoff possible, and the shard's
+    /// remaining panes merge degraded.
     Retired,
     /// Shut down cleanly after shipping its trailing pane.
     Done,

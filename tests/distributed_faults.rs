@@ -114,7 +114,17 @@ fn publish() -> Arc<Topic<f64>> {
 
 /// A healthy worker: joins, replays its partition, finishes cleanly.
 fn run_worker(addr: std::net::SocketAddr, topic: Arc<Topic<f64>>, worker: u32) -> RunOutput {
-    let engine = connect_worker(addr, worker, false, |v: &f64| *v).expect("worker joins");
+    run_worker_with(addr, topic, worker, false)
+}
+
+/// [`run_worker`], optionally subscribed to the coordinator's results.
+fn run_worker_with(
+    addr: std::net::SocketAddr,
+    topic: Arc<Topic<f64>>,
+    worker: u32,
+    wants_results: bool,
+) -> RunOutput {
+    let engine = connect_worker(addr, worker, wants_results, |v: &f64| *v).expect("worker joins");
     let mut consumer = Consumer::group(topic, worker as usize, WORKERS as usize);
     let mut session = ApproxSession::from_engine(Box::new(engine));
     loop {
@@ -126,6 +136,87 @@ fn run_worker(addr: std::net::SocketAddr, topic: Arc<Topic<f64>>, worker: u32) -
         }
     }
     session.finish()
+}
+
+/// A worker that never checkpoints: joins, replays `crash_after` items of
+/// its partition, runs `before_crash`, then drops its session — no flush,
+/// no shutdown — and never returns.
+fn crash_worker(
+    addr: std::net::SocketAddr,
+    topic: Arc<Topic<f64>>,
+    worker: u32,
+    crash_after: u64,
+    before_crash: impl FnOnce(),
+) {
+    let engine = connect_worker(addr, worker, false, |v: &f64| *v).expect("worker joins");
+    let mut consumer = Consumer::group(topic, worker as usize, WORKERS as usize);
+    let mut session = ApproxSession::from_engine(Box::new(engine));
+    let mut seen = IngestCounters::default();
+    while seen.ingested < crash_after {
+        let delta = session
+            .ingest_consumer(&mut consumer, 64)
+            .expect("engine alive");
+        seen.absorb(delta);
+    }
+    before_crash();
+    drop(session);
+}
+
+/// Every window of the stream, its later ones degraded and accounted,
+/// and every interval covering the true sum.
+fn assert_degraded_suffix_covers_truth(windows: &[WindowResult]) {
+    assert_eq!(
+        windows.len(),
+        (ITEMS / WINDOW_MS) as usize,
+        "the watermark must keep advancing over the dead shard"
+    );
+    let first = windows
+        .iter()
+        .position(|w| w.degraded)
+        .expect("the dead shard's later windows must be stamped");
+    assert!(first > 0, "windows before the death are whole");
+    assert!(
+        windows[first..].iter().all(|w| w.degraded),
+        "every window after the death is degraded"
+    );
+    let lost: u64 = windows.iter().map(|w| w.lost_items).sum();
+    assert!(lost > 0, "the missing mass must be accounted");
+    let truth = truth();
+    for w in windows {
+        let true_sum = truth[&w.window.start.as_millis()];
+        let (lo, hi) = w.sum.interval();
+        assert!(
+            lo <= true_sum && true_sum <= hi,
+            "{}: interval [{lo}, {hi}] must cover the true sum {true_sum} (degraded: {}, \
+             lost: {})",
+            w.window,
+            w.degraded,
+            w.lost_items
+        );
+    }
+}
+
+/// The health the coordinator reports for `worker`, if it joined.
+fn health_of(coordinator: &DistributedSession, worker: u32) -> Option<WorkerHealth> {
+    coordinator
+        .status()
+        .workers
+        .iter()
+        .find(|w| w.worker == worker)
+        .map(|w| w.health)
+}
+
+/// A progress-free heartbeat, as a hand-spoken worker sends it.
+fn heartbeat(worker: u32) -> Message {
+    Message::Heartbeat(Heartbeat {
+        worker,
+        ingest: IngestCounters::default(),
+        watermark: None,
+        lag: 0,
+        last_checkpoint_pane: None,
+        items_since_checkpoint: 0,
+        snapshot_bytes: 0,
+    })
 }
 
 /// The uninterrupted two-worker run every fault scenario is compared
@@ -387,6 +478,177 @@ fn permanent_death_degrades_with_covering_intervals() {
     }
 }
 
+/// Claim 3b: a worker whose connection drops before it ever published a
+/// checkpoint offers no handoff, so no replacement could refill its panes
+/// faster than a fresh replay. Nothing waits for one: with `backoff` and
+/// `pane_timeout` both at 10 s, `finish` returns at once, degraded and
+/// covering.
+#[test]
+fn permanent_death_without_a_checkpoint_does_not_wait_out_the_backoff() {
+    let fault = fast_fault()
+        .with_pane_timeout(Duration::from_secs(10))
+        .with_backoff(Duration::from_secs(10));
+    let topic = publish();
+    let mut policy = FixedPerStratum(24);
+    let coordinator = coordinator(fault, &mut policy);
+    let addr = coordinator.addr();
+
+    let good = {
+        let topic = topic.clone();
+        thread::spawn(move || run_worker(addr, topic, 0))
+    };
+    let victim = thread::spawn(move || crash_worker(addr, topic, 1, (ITEMS / 4) as u64, || {}));
+    victim.join().expect("victim thread");
+    let _ = good.join().expect("good worker thread");
+
+    let started = Instant::now();
+    let out = coordinator.finish().expect("degrades, does not error");
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "finish took {:?}: nothing can refill a dropped shard without a checkpoint",
+        started.elapsed()
+    );
+    assert_degraded_suffix_covers_truth(&out.windows);
+}
+
+/// Claim 3c: the path a dropped connection skips. A worker that only fell
+/// silent may be paused, not dead: declared `Dead` past `dead_after`
+/// with its socket still open, it holds its pane back, and heartbeating
+/// again before the backoff revives it to `Healthy`. The digest it then
+/// delivers inside `pane_timeout` merges undegraded.
+#[test]
+fn silent_worker_that_speaks_again_before_the_backoff_revives() {
+    let fault = fast_fault()
+        .with_pane_timeout(Duration::from_secs(10))
+        .with_backoff(Duration::from_secs(10));
+    let mut policy = FixedPerStratum(16);
+    let mut coordinator = coordinator(fault, &mut policy);
+    let addr = coordinator.addr();
+
+    // Worker 0 delivers the run's only pane and shuts down; the pane
+    // waits for worker 1.
+    let good = thread::spawn(move || {
+        let engine = connect_worker(addr, 0, false, |v: &f64| *v).expect("worker joins");
+        let mut session = ApproxSession::from_engine(Box::new(engine));
+        for i in 0..WINDOW_MS {
+            session
+                .push(StreamItem::new(
+                    StratumId(0),
+                    EventTime::from_millis(i),
+                    1.0,
+                ))
+                .expect("in order");
+        }
+        session.finish()
+    });
+    let _ = good.join().expect("good worker thread");
+
+    // Worker 1, spoken by hand: joins, heartbeats once, then falls silent
+    // with its socket open.
+    let mut hand = TcpStream::connect(addr).expect("connect");
+    write_message(
+        &mut hand,
+        &Message::HelloJoin {
+            worker: 1,
+            wants_results: false,
+        },
+    )
+    .expect("join frame");
+    let assign = read_message(&mut hand)
+        .expect("readable")
+        .expect("assigned");
+    assert!(matches!(
+        assign,
+        Message::HelloAssign(Assignment { worker: 1, .. })
+    ));
+    write_message(&mut hand, &heartbeat(1)).expect("heartbeat");
+
+    let mut windows = Vec::new();
+    let mut await_health = |coordinator: &mut DistributedSession, want: WorkerHealth| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            windows.extend(coordinator.poll_windows().expect("no session error"));
+            let health = health_of(coordinator, 1);
+            if health == Some(want) {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "worker 1 never became {want:?}, is {health:?}"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+    };
+    await_health(&mut coordinator, WorkerHealth::Dead);
+    write_message(&mut hand, &heartbeat(1)).expect("heartbeat");
+    await_health(&mut coordinator, WorkerHealth::Healthy);
+    assert!(windows.is_empty(), "a revivable worker's pane waits for it");
+
+    let digest = Digest {
+        worker: 1,
+        pane: Window::new(EventTime::from_millis(0), EventTime::from_millis(WINDOW_MS)),
+        counters: IngestCounters::default(),
+        watermark: Some(EventTime::from_millis(WINDOW_MS - 1)),
+        lag: 0,
+        last_checkpoint_pane: None,
+        items_since_checkpoint: 0,
+        snapshot_bytes: 0,
+        payload: DigestPayload::Sampled(StratifiedSample::new()),
+    };
+    write_message(&mut hand, &Message::PaneDigest(digest)).expect("digest");
+    write_message(&mut hand, &Message::Shutdown { worker: 1 }).expect("goodbye");
+    let out = coordinator.finish().expect("revived run");
+    windows.extend(out.windows);
+    assert_eq!(windows.len(), 1);
+    assert!(!windows[0].degraded, "the revived worker's pane is whole");
+    assert_eq!(windows[0].lost_items, 0);
+    assert_eq!(out.items_ingested, WINDOW_MS as u64);
+}
+
+/// Claim 3d: a results subscriber receives every window of a degraded
+/// run, the ones `finish` merges after the death included. Its goodbye
+/// ends the coordinator's reads of its connection, so frames it sent
+/// after that would sit unread and turn the coordinator's close into a
+/// reset that discards the windows still in flight.
+#[test]
+fn results_subscriber_receives_every_window_of_a_degraded_run() {
+    let fault = fast_fault().with_pane_timeout(Duration::from_secs(10));
+    let topic = publish();
+    let mut policy = FixedPerStratum(24);
+    let mut coordinator = coordinator(fault, &mut policy);
+    let addr = coordinator.addr();
+
+    let subscriber = {
+        let topic = topic.clone();
+        thread::spawn(move || run_worker_with(addr, topic, 0, true))
+    };
+    let (crash, crash_rx) = std::sync::mpsc::channel::<()>();
+    let victim = thread::spawn(move || {
+        crash_worker(addr, topic, 1, (ITEMS / 4) as u64, move || {
+            let _ = crash_rx.recv();
+        })
+    });
+
+    // The subscriber says goodbye while the victim still holds the later
+    // panes back, then heartbeats would go on arriving unread.
+    let mut windows = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while health_of(&coordinator, 0) != Some(WorkerHealth::Done) {
+        assert!(Instant::now() < deadline, "the subscriber must finish");
+        windows.extend(coordinator.poll_windows().expect("no session error"));
+        thread::sleep(Duration::from_millis(5));
+    }
+    thread::sleep(fault.heartbeat_interval * 3);
+    crash.send(()).expect("victim waiting");
+    victim.join().expect("victim thread");
+
+    let out = coordinator.finish().expect("degrades, does not error");
+    windows.extend(out.windows);
+    let received = subscriber.join().expect("subscriber thread");
+    assert_degraded_suffix_covers_truth(&windows);
+    assert_bits("subscriber copy", &received.windows, &windows);
+}
+
 /// Claim 4a (the pre-join wedge): a client that connects and never says
 /// hello occupies one handshake thread, not the coordinator — startup,
 /// the run, and shutdown all proceed at full speed around it.
@@ -508,8 +770,10 @@ fn hostile_frames_cost_the_connection_not_the_session() {
     let _ = good.join().expect("good worker thread");
 
     // The offender must be declared dead (or already retired); the run
-    // itself completes.
-    let _ = coordinator.poll_windows().expect("no session error");
+    // itself completes. A dropped worker with no checkpoint to hand off
+    // stops holding panes at once, so this poll may already return
+    // windows: they count with the ones `finish` returns.
+    let mut windows = coordinator.poll_windows().expect("no session error");
     let status = coordinator.status();
     let offender = status
         .workers
@@ -524,8 +788,9 @@ fn hostile_frames_cost_the_connection_not_the_session() {
     let out = coordinator
         .finish()
         .expect("one bad worker cannot kill the run");
-    assert_eq!(out.windows.len(), 3);
-    assert!(out.windows.iter().all(|w| w.degraded));
+    windows.extend(out.windows);
+    assert_eq!(windows.len(), 3);
+    assert!(windows.iter().all(|w| w.degraded));
 }
 
 /// Claim 4c (the live straggler): a worker that heartbeats dutifully but
