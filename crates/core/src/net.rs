@@ -17,21 +17,35 @@
 //!   finalizes windows with estimation-layer error bounds.
 //! * [`DigestEngine`] (built by [`connect_worker`] or [`rejoin_worker`]) —
 //!   one worker: a local [`Engine`] that samples its shard of the stream
-//!   with full-capacity OASRS and ships the pane's sampler state at every
-//!   pane close instead of estimating locally, heartbeating automatically
-//!   in the background. Wrap it in
+//!   with full-capacity OASRS and ships the pane's mergeable state at
+//!   every pane close instead of estimating locally, heartbeating
+//!   automatically in the background. Wrap it in
 //!   [`crate::ApproxSession::from_engine`] for the ordinary push/poll
 //!   session API.
+//!
+//! What a digest carries follows the budget. Under a fraction (or
+//! without sampling) the coordinator's merge never draws: each worker's
+//! sampler already holds only its own share of the budget, so the worker
+//! reduces its pane to per-stratum statistics where it was drawn
+//! ([`DigestPayload::Stats`], O(strata) bytes) and the merge concatenates
+//! them. Under a fixed-size budget every worker samples the whole budget
+//! and the merge draws a seeded weighted union of the workers' samples
+//! back down to it, so the digest carries the projected sample
+//! ([`DigestPayload::Sampled`], O(budget) values). Both ends of a worker
+//! connection disable Nagle's algorithm: digests, heartbeats and results
+//! are small frames sent back to back.
 //!
 //! Determinism survives the wire: worker `w` builds exactly the sampler
 //! [`ShardSet::rearm`] would hand shard `w`, and the coordinator offers
 //! each digest to the one pane barrier the sharded engine offers its
-//! shards' closes to. It merges in ascending worker id with the merge RNG
-//! seeded by [`crate::pane_merge_seed`] from the run seed and the pane's
-//! *start time* — so a fault-free distributed run of K workers reproduces,
-//! bit for bit, the sharded engine at N = K under every budget, and the
-//! hand-built single-process merge of the same per-shard samplers (§3.2's
-//! merge soundness, verified end-to-end in `tests/distributed.rs`).
+//! shards' closes to (which reduces a shard's sample to the statistics a
+//! worker ships where the budget says so). It merges in ascending worker
+//! id with the merge RNG seeded by [`crate::pane_merge_seed`] from the
+//! run seed and the pane's *start time* — so a fault-free distributed run
+//! of K workers reproduces, bit for bit, the sharded engine at N = K
+//! under every budget, and the hand-built single-process merge of the
+//! same per-shard samplers (§3.2's merge soundness, verified end-to-end
+//! in `tests/distributed.rs`).
 //!
 //! # Surviving worker failure
 //!
@@ -115,8 +129,8 @@ use crate::cost::{frozen_policy, CostPolicy, SizingDirective};
 use crate::engine::Engine;
 use crate::output::{RunOutput, WindowResult};
 use crate::runtime::{
-    sampler_sizing, untiled_interval, window_tile_ms, IntervalWorker, Offer, PaneBarrier,
-    PaneDriver, PaneSink, ShardSet, WindowFinalizer, WorkerPane,
+    merges_stats, sampler_sizing, untiled_interval, window_tile_ms, IntervalWorker, Offer,
+    PaneBarrier, PaneDriver, PaneSink, ShardSet, WindowFinalizer, WorkerPane,
 };
 use sa_net::frame::{read_message, write_message};
 use sa_net::{Assignment, Digest, DigestPayload, Heartbeat, Message};
@@ -336,9 +350,12 @@ fn reader_loop(
     events: Sender<Event>,
 ) {
     // Bound the read so a socket that wedges open without traffic cannot
-    // pin this thread forever: any live worker heartbeats well inside
-    // twice the declared-dead window.
-    let read_timeout = (fault.dead_after() * 2).max(Duration::from_secs(1));
+    // pin this thread forever. A silent worker is declared dead after
+    // `dead_after` and may revive for `backoff` more; a lost connection
+    // retires it at once, so the read must outlast both.
+    let read_timeout = (fault.dead_after() * 2)
+        .max(fault.dead_after() + fault.backoff)
+        .max(Duration::from_secs(1));
     let _ = stream.set_read_timeout(Some(read_timeout));
     loop {
         let event = match read_message(&mut stream) {
@@ -551,6 +568,9 @@ fn acceptor_loop(
         if lock(&table).closed {
             return;
         }
+        // Digests and results are small frames sent back to back; see
+        // `dial`.
+        let _ = stream.set_nodelay(true);
         let table = Arc::clone(&table);
         let events = events.clone();
         thread::spawn(move || {
@@ -937,8 +957,8 @@ impl DistributedSession {
                 digest.pane, self.assign.pane_interval_ms
             )));
         }
-        let exact = self.assign.directive == SizingDirective::Everything;
-        if exact != matches!(digest.payload, DigestPayload::Exact(_)) {
+        let stats = merges_stats(self.assign.directive);
+        if stats != matches!(digest.payload, DigestPayload::Stats(_)) {
             return self.fail(SaError::Wire(format!(
                 "worker {} digest payload does not match the run directive",
                 digest.worker
@@ -957,7 +977,7 @@ impl DistributedSession {
         let worker = digest.worker;
         let part = match digest.payload {
             DigestPayload::Sampled(sample) => WorkerPane::Sampled(sample),
-            DigestPayload::Exact(stats) => WorkerPane::Exact(stats),
+            DigestPayload::Stats(stats) => WorkerPane::Stats(stats),
         };
         match self.barrier.offer(worker as usize, start, part) {
             Offer::Held => {
@@ -1347,6 +1367,8 @@ pub struct DigestEngine<R> {
 struct DigestSink<R> {
     shared: Arc<WorkerShared>,
     worker: u32,
+    /// The run's directive, which decides what a digest carries.
+    directive: SizingDirective,
     sampler: IntervalWorker<R>,
     proj: Arc<dyn Fn(&R) -> f64 + Send + Sync>,
     watermark: Option<EventTime>,
@@ -1357,6 +1379,16 @@ struct DigestSink<R> {
     last_checkpoint_pane: Option<i64>,
     items_at_checkpoint: u64,
     snapshot_bytes: u64,
+}
+
+/// Connects to the coordinator with Nagle's algorithm off: a worker's
+/// frames are small and back to back, and Nagle plus the peer's delayed
+/// ACK would hold each one back for an acknowledgement.
+fn dial(addr: impl ToSocketAddrs) -> Result<TcpStream, SaError> {
+    let stream = TcpStream::connect(addr)
+        .map_err(|e| SaError::InvalidConfig(format!("cannot reach the coordinator: {e}")))?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
 fn read_assignment(stream: &mut TcpStream) -> Result<Assignment, SaError> {
@@ -1417,6 +1449,7 @@ fn assemble_engine<R>(
         sink: DigestSink {
             shared,
             worker: assignment.worker,
+            directive: assignment.directive,
             sampler,
             proj,
             watermark: None,
@@ -1459,8 +1492,7 @@ pub fn connect_worker<R>(
     wants_results: bool,
     proj: impl Fn(&R) -> f64 + Send + Sync + 'static,
 ) -> Result<DigestEngine<R>, SaError> {
-    let mut stream = TcpStream::connect(addr)
-        .map_err(|e| SaError::InvalidConfig(format!("cannot reach the coordinator: {e}")))?;
+    let mut stream = dial(addr)?;
     write_message(
         &mut stream,
         &Message::HelloJoin {
@@ -1515,8 +1547,7 @@ pub fn rejoin_worker<R: WireEncode + WireDecode>(
     wants_results: bool,
     proj: impl Fn(&R) -> f64 + Send + Sync + 'static,
 ) -> Result<(DigestEngine<R>, Option<SessionSnapshot>), SaError> {
-    let mut stream = TcpStream::connect(addr)
-        .map_err(|e| SaError::InvalidConfig(format!("cannot reach the coordinator: {e}")))?;
+    let mut stream = dial(addr)?;
     write_message(&mut stream, &Message::HelloRejoin { wants_results })?;
     let assignment = read_assignment(&mut stream)?;
     let Some(handoff) = read_message(&mut stream)? else {
@@ -1620,13 +1651,19 @@ impl<R> PaneSink<R> for DigestSink<R> {
         Ok(())
     }
 
+    /// Ships the pane's statistics where the coordinator's merge takes
+    /// them ([`merges_stats`]), its projected sample where the merge draws.
     fn close_pane(&mut self, pane: Window) -> Result<(), SaError> {
         self.check_alive()?;
-        let payload = match self.sampler.close_interval_parts() {
-            WorkerPane::Sampled(sample) => {
-                DigestPayload::Sampled(project_sample(sample, self.proj.as_ref()))
+        let payload = if merges_stats(self.directive) {
+            DigestPayload::Stats(self.sampler.close_interval())
+        } else {
+            match self.sampler.close_interval_parts() {
+                WorkerPane::Sampled(sample) => {
+                    DigestPayload::Sampled(project_sample(sample, self.proj.as_ref()))
+                }
+                WorkerPane::Stats(stats) => DigestPayload::Stats(stats),
             }
-            WorkerPane::Exact(stats) => DigestPayload::Exact(stats),
         };
         let (ingested, _) = self.sampler.counters();
         self.panes += 1;
@@ -1895,6 +1932,38 @@ mod tests {
             assert!(!w.degraded, "a healthy run never degrades");
             assert_eq!(w.lost_items, 0);
         }
+    }
+
+    /// Digests and results are small frames sent back to back: with
+    /// Nagle's algorithm on either end, the peer's delayed ACK holds each
+    /// one back, and answers wait milliseconds instead of microseconds.
+    #[test]
+    fn both_ends_of_a_worker_connection_disable_nagle() {
+        let mut policy = FixedPerStratum(8);
+        let mut coordinator = StreamApprox::new(query(), &mut policy)
+            .distributed(DistributedConfig::new(1).with_timeout(Duration::from_secs(10)))
+            .expect("bind loopback");
+        let engine = connect_worker(coordinator.addr(), 0, true, |v: &f64| *v).expect("join");
+        let dialed = engine.sink.shared.lock_stream().nodelay();
+        assert!(dialed.expect("socket option"));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !coordinator.workers.contains_key(&0) {
+            let _ = coordinator.poll_windows().expect("no failure");
+            assert!(Instant::now() < deadline, "the worker never joined");
+            thread::sleep(Duration::from_millis(5));
+        }
+        // A results subscriber's stream is the coordinator's clone of the
+        // socket it accepted.
+        let accepted = coordinator.workers[&0]
+            .results
+            .as_ref()
+            .map(TcpStream::nodelay);
+        assert!(accepted.expect("a subscriber").expect("socket option"));
+        let worker = thread::spawn(move || {
+            crate::session::ApproxSession::from_engine(Box::new(engine)).finish()
+        });
+        coordinator.finish().expect("clean run");
+        let _ = worker.join().expect("worker thread");
     }
 
     #[test]

@@ -212,15 +212,18 @@ enum WorkerKind<R> {
 /// combination.
 ///
 /// Sampling workers keep the *items* (a weighted [`StratifiedSample`]) so
-/// shard-local samples can be merged by the seen-count-weighted reservoir
-/// union before estimation; exact workers reduce to per-stratum
-/// [`StratumStats`] immediately (Welford statistics merge exactly, no
-/// items needed).
+/// that a fixed-size budget's shard samples can be merged by the
+/// seen-count-weighted reservoir union before estimation; exact workers
+/// reduce to per-stratum [`StratumStats`] immediately (Welford statistics
+/// merge exactly, no items needed). Where the merge takes statistics
+/// (`merges_stats`), a sampled part may be reduced to them where it was
+/// drawn as well.
 pub enum WorkerPane<R> {
     /// The interval's weighted stratified sample (sampling execution).
     Sampled(StratifiedSample<R>),
-    /// The interval's exact per-stratum statistics (native execution).
-    Exact(Vec<StratumStats>),
+    /// The interval's per-stratum statistics: exact under native
+    /// execution, of the shard's own sample under a fraction budget.
+    Stats(Vec<StratumStats>),
 }
 
 impl<R> WorkerPane<R> {
@@ -228,9 +231,27 @@ impl<R> WorkerPane<R> {
     fn population(&self) -> u64 {
         match self {
             WorkerPane::Sampled(sample) => sample.iter().map(|s| s.population).sum(),
-            WorkerPane::Exact(stats) => stats.iter().map(|s| s.population).sum(),
+            WorkerPane::Stats(stats) => stats.iter().map(|s| s.population).sum(),
         }
     }
+}
+
+/// Whether the pane merge under `directive` takes per-stratum statistics
+/// rather than samples: true unless the budget is a fixed size.
+///
+/// A fixed budget (`PerStratum`, `SharedTotal`) arms every shard with the
+/// whole budget, so the merge must draw a seeded weighted union of the
+/// shards' samples back down to it. Under a fraction each shard's sampler
+/// already holds only its own arrival share of the budget, and exact
+/// shards hold everything, so the merge never draws: each part reduces to
+/// [`StratumStats`] where it was drawn, and the merge concatenates them
+/// in shard order. The distributed worker, the coordinator and
+/// [`ShardSet::merge_panes`] all decide by this one rule.
+pub(crate) fn merges_stats(directive: SizingDirective) -> bool {
+    !matches!(
+        directive,
+        SizingDirective::PerStratum(_) | SizingDirective::SharedTotal(_)
+    )
 }
 
 /// One parallel worker's interval state: OASRS sampling under a budget,
@@ -281,12 +302,13 @@ impl<R> IntervalWorker<R> {
     /// Builds shard `shard`'s worker for a mergeable-sampler engine: the
     /// sampler keeps the *full* per-stratum capacity — unlike
     /// [`for_worker`](IntervalWorker::for_worker), which splits capacities
-    /// `N/w` — because shard-local samples are merged back down to
-    /// capacity by the weighted reservoir union at interval close (see
-    /// [`ShardSet::merge_panes`]). Only the RNG stream is decorrelated per
-    /// shard, through the same [`RunSeed::for_worker`] rule, so shard 0 of
-    /// a 1-shard set draws bit-for-bit the sample worker 0 of a 1-worker
-    /// pool would.
+    /// `N/w` — because under a fixed-size budget shard-local samples are
+    /// merged back down to capacity by the weighted reservoir union at
+    /// interval close (see [`ShardSet::merge_panes`]), and under a
+    /// fraction each shard's capacities follow its own arrivals anyway.
+    /// Only the RNG stream is decorrelated per shard, through the same
+    /// [`RunSeed::for_worker`] rule, so shard 0 of a 1-shard set draws
+    /// bit-for-bit the sample worker 0 of a 1-worker pool would.
     ///
     /// # Panics
     ///
@@ -353,9 +375,10 @@ impl<R> IntervalWorker<R> {
     }
 
     /// Closes the current interval into a [`WorkerPane`] and re-arms for
-    /// the next one — the pre-combination form sharded engines ship
-    /// between threads so sampling shards can merge *samples* (not
-    /// statistics) before estimation.
+    /// the next one — the pre-combination form the sharded engine ships
+    /// between threads: a sampling worker hands over its *sample* under
+    /// every budget, and [`ShardSet::merge_panes`] reduces it to
+    /// statistics where the merge takes them (see `merges_stats`).
     pub fn close_interval_parts(&mut self) -> WorkerPane<R> {
         match &mut self.kind {
             WorkerKind::Sampling(sampler) => {
@@ -363,7 +386,7 @@ impl<R> IntervalWorker<R> {
                 self.sampled += sample.total_sampled();
                 WorkerPane::Sampled(sample)
             }
-            WorkerKind::Exact(_) => WorkerPane::Exact(self.close_interval()),
+            WorkerKind::Exact(_) => WorkerPane::Stats(self.close_interval()),
         }
     }
 
@@ -428,24 +451,27 @@ impl<R> IntervalWorker<R> {
 /// the shard-level mirror of [`ApproxRuntime::checkout_samplers`]), and
 /// the deterministic canonical merge of shard-local interval closes.
 ///
-/// Merge semantics follow the sizing policy's budget distribution:
+/// Merge semantics follow the sizing policy's budget distribution (the
+/// rule is `merges_stats`):
 ///
 /// * Under a **fraction** directive, every shard's sampler adapts its
 ///   capacities to its *own* arrival share, so the shards already split
-///   the budget — the combine is the plain capacity-summing
-///   `StratifiedSample::union` (§3.2).
+///   the budget and the merge never draws: each shard's part is its own
+///   per-stratum [`StratumStats`], and the parts concatenate (§3.2). The
+///   window merge Chan-combines a stratum's per-shard entries, so this is
+///   the pooled estimator of the shards' united sample, up to rounding.
 /// * Under **fixed-size** directives (per-stratum / shared-total), every
 ///   shard duplicates the one fixed budget at full capacity and the
 ///   shard samples are united by the seen-count-weighted reservoir union
 ///   (`sa_sampling::merge_all_stratified`), preserving uniform inclusion
 ///   probabilities while holding the merged sample at the budgeted size.
 /// * Exact (native) shards reduce to per-stratum Welford statistics which
-///   concatenate; the window combiner's canonical sort-and-merge
-///   (`combine.rs`) makes the result independent of shard scheduling.
+///   concatenate like a fraction's.
 ///
-/// Shards are always merged in ascending shard-index order — mirroring
-/// `combine.rs`'s canonical stats order — so a run is bit-for-bit
-/// reproducible from its seed.
+/// Shards are always merged in ascending shard-index order, and the
+/// window combiner's canonical sort-and-merge (`combine.rs`) keeps a
+/// stratum's entries in that order, so a run is bit-for-bit reproducible
+/// from its seed.
 pub struct ShardSet<R> {
     shards: usize,
     seed: RunSeed,
@@ -534,53 +560,49 @@ impl<R> ShardSet<R> {
     /// coordinator share, which draws `rng` from [`pane_merge_seed`] of the
     /// pane's start; only fixed-size budgets draw from it.
     ///
+    /// Where the merge takes statistics (`merges_stats`), every part
+    /// becomes per-stratum statistics — a [`WorkerPane::Sampled`] part is
+    /// reduced by [`StratumStats::from_sample`], a [`WorkerPane::Stats`]
+    /// part is taken as it is — and the parts concatenate in shard order:
+    /// one entry per stratum per shard. A single part's statistics are
+    /// bit-identical to projecting its sample centrally.
+    ///
     /// # Panics
     ///
-    /// Panics if sampled and exact shard panes are mixed (all shards of
-    /// one interval run the same directive).
+    /// Panics if a fixed-size budget's interval holds a statistics part:
+    /// its merge draws from the shards' samples.
     pub fn merge_panes<G: Rng + ?Sized>(
         &self,
         panes: Vec<WorkerPane<R>>,
         rng: &mut G,
     ) -> PanePayload {
-        let mut samples = Vec::new();
+        let proj = &self.proj;
+        let reduce = |sample: &StratifiedSample<R>| {
+            sample
+                .iter()
+                .map(|stratum| StratumStats::from_sample(stratum, |r| proj(r)))
+                .collect::<Vec<_>>()
+        };
+        if self.directive.is_some_and(|d| !merges_stats(d)) {
+            let samples: Vec<_> = panes
+                .into_iter()
+                .map(|pane| match pane {
+                    WorkerPane::Sampled(sample) => sample,
+                    WorkerPane::Stats(_) => {
+                        panic!("a fixed-size budget merges shard samples, not statistics")
+                    }
+                })
+                .collect();
+            return PanePayload::Stratified(reduce(&merge_all_stratified(samples, rng)));
+        }
         let mut stats = Vec::new();
         for pane in panes {
             match pane {
-                WorkerPane::Sampled(sample) => samples.push(sample),
-                WorkerPane::Exact(exact) => stats.extend(exact),
+                WorkerPane::Sampled(sample) => stats.extend(reduce(&sample)),
+                WorkerPane::Stats(part) => stats.extend(part),
             }
         }
-        if samples.is_empty() {
-            return PanePayload::Stratified(stats);
-        }
-        assert!(
-            stats.is_empty(),
-            "mixed sampled and exact shard panes in one interval"
-        );
-        let merged = match self.directive {
-            Some(SizingDirective::Fraction(_)) => {
-                // Shards split the fraction budget by adapting to their own
-                // arrival shares: the capacity-summing union is the
-                // faithful combine.
-                let mut union: Option<StratifiedSample<R>> = None;
-                for sample in samples {
-                    match &mut union {
-                        None => union = Some(sample),
-                        Some(u) => u.union(sample),
-                    }
-                }
-                union.expect("at least one sampled shard pane")
-            }
-            _ => merge_all_stratified(samples, rng),
-        };
-        let proj = &self.proj;
-        PanePayload::Stratified(
-            merged
-                .iter()
-                .map(|stratum| StratumStats::from_sample(stratum, |r| proj(r)))
-                .collect(),
-        )
+        PanePayload::Stratified(stats)
     }
 }
 
@@ -704,14 +726,10 @@ impl<R> PaneBarrier<R> {
         let present: Vec<u64> = parts.iter().flatten().map(WorkerPane::population).collect();
         let mass: u128 = present.iter().map(|&items| u128::from(items)).sum();
         let lost = (mass * missing.len() as u128 / present.len().max(1) as u128) as u64;
-        let exact = self.shards.directive() == Some(SizingDirective::Everything);
+        // An empty sample is an idle shard's close under every budget.
         let parts = parts
             .into_iter()
-            .map(|part| match part {
-                Some(part) => part,
-                None if exact => WorkerPane::Exact(Vec::new()),
-                None => WorkerPane::Sampled(StratifiedSample::new()),
-            })
+            .map(|part| part.unwrap_or_else(|| WorkerPane::Sampled(StratifiedSample::new())))
             .collect();
         let mut rng = SmallRng::seed_from_u64(pane_merge_seed(self.shards.seed, start));
         let mut payload = self.shards.merge_panes(parts, &mut rng);
@@ -1715,11 +1733,14 @@ mod tests {
             let PanePayload::Stratified(stats) = set.merge_panes(panes, &mut rng) else {
                 panic!("stratified payload expected");
             };
-            assert_eq!(stats[0].population, 200);
-            last = stats[0].sample_size();
+            // One entry per shard: the merge concatenates the shards'
+            // statistics, and the window merge combines them.
+            assert_eq!(stats.len(), 2);
+            assert_eq!(stats.iter().map(|s| s.population).sum::<u64>(), 200);
+            last = stats.iter().map(StratumStats::sample_size).sum();
         }
-        // Both shards sampled ~50 of their 100: the union carries ~100 of
-        // the 200 — the fraction budget split across shards, not doubled.
+        // Both shards sampled ~50 of their 100: together they carry ~100
+        // of the 200 — the fraction budget split across shards, not doubled.
         assert_eq!(last, 100);
     }
 
@@ -2118,7 +2139,7 @@ mod tests {
     #[test]
     fn barrier_fills_an_exact_runs_gaps_with_empty_statistics() {
         let mut barrier = barrier(SizingDirective::Everything);
-        barrier.offer(1, 0, WorkerPane::Exact(exact_stats(0, &[1.0, 2.0, 3.0])));
+        barrier.offer(1, 0, WorkerPane::Stats(exact_stats(0, &[1.0, 2.0, 3.0])));
         let merged = barrier.take_ready(|_| true, none_gone).expect("timed out");
         assert_eq!(merged.missing, [0, 2]);
         assert_eq!(merged.lost, 6);
@@ -2151,7 +2172,8 @@ mod tests {
     #[test]
     fn empty_sample_union_is_consistent() {
         // StratifiedSample::union with an empty side must keep counters
-        // coherent (exercised by every idle worker at interval close).
+        // coherent (exercised by every idle batched-engine worker at
+        // interval close).
         let mut a: StratifiedSample<f64> = StratifiedSample::new();
         let b: StratifiedSample<f64> = StratifiedSample::new();
         a.union(b);

@@ -76,27 +76,37 @@ wire_struct!(Heartbeat {
 });
 
 /// The mergeable state one worker ships for one closed pane.
+///
+/// Which variant a worker ships follows the run's budget. Under a
+/// fixed-size budget (`PerStratum`, `SharedTotal`) every worker samples
+/// the whole budget, and the coordinator draws a seeded weighted union of
+/// the workers' samples back down to it, so the items travel. Under a
+/// fraction each worker already holds only its own share of the budget,
+/// and without sampling it holds everything: the coordinator's merge
+/// never draws, so the worker reduces its pane to per-stratum statistics
+/// where it was drawn — O(strata) bytes, not O(sampled items).
 #[derive(Debug, Clone, PartialEq)]
 pub enum DigestPayload {
     /// A weighted stratified sample, already projected to the aggregated
     /// `f64` value (merging is projection-agnostic, so shipping projected
     /// values is bit-identical to shipping items and projecting centrally).
     Sampled(StratifiedSample<f64>),
-    /// Exact per-stratum sufficient statistics (the no-sampling path).
-    Exact(Vec<StratumStats>),
+    /// Per-stratum sufficient statistics: of the worker's sample under a
+    /// fraction budget, exact without sampling.
+    Stats(Vec<StratumStats>),
 }
 
 wire_enum!(DigestPayload {
     0 => Sampled(sample),
-    1 => Exact(stats),
-} check exact_strata_ascend);
+    1 => Stats(stats),
+} check stats_strata_ascend);
 
-/// A sampled payload checks its own stratum order as it decodes; exact
+/// A sampled payload checks its own stratum order as it decodes;
 /// statistics must be in the same strictly ascending order.
-fn exact_strata_ascend(payload: &DigestPayload) -> bool {
+fn stats_strata_ascend(payload: &DigestPayload) -> bool {
     match payload {
         DigestPayload::Sampled(_) => true,
-        DigestPayload::Exact(stats) => stats.windows(2).all(|w| w[0].stratum < w[1].stratum),
+        DigestPayload::Stats(stats) => stats.windows(2).all(|w| w[0].stratum < w[1].stratum),
     }
 }
 
@@ -495,7 +505,7 @@ mod tests {
             StratumStats::from_parts(StratumId(5), 10, Welford::new()),
             StratumStats::from_parts(StratumId(2), 10, Welford::new()),
         ];
-        let bytes = DigestPayload::Exact(stats).to_wire_bytes();
+        let bytes = DigestPayload::Stats(stats).to_wire_bytes();
         assert!(matches!(
             DigestPayload::from_wire_bytes(&bytes),
             Err(SaError::Wire(_))

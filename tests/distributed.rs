@@ -13,13 +13,14 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sa_net::frame::{read_message, write_message, MAGIC};
-use sa_net::{Assignment, Message, WIRE_VERSION};
+use sa_net::{Assignment, DigestPayload, Message, WIRE_VERSION};
 use sa_types::{
-    EventTime, FaultPolicy, RunSeed, StratifiedSample, StratumId, StreamItem, Window, WindowSpec,
+    Confidence, EventTime, FaultPolicy, RunSeed, StratifiedSample, StratumId, StreamItem, Window,
+    WindowSpec,
 };
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -457,4 +458,108 @@ fn distributed_equals_sharded_bit_for_bit_shared_total() {
 #[test]
 fn distributed_equals_sharded_bit_for_bit_everything() {
     assert_tiers_agree(SizingDirective::Everything);
+}
+
+const DIGEST_PANES: i64 = 4;
+const DIGEST_PANE_MS: i64 = 100;
+
+/// Every digest one K = 1 worker ships for `items_per_pane` items per
+/// 100 ms pane over three strata under `directive`, each with the size of
+/// its frame, read by a coordinator spoken by hand.
+fn worker_digests(directive: SizingDirective, items_per_pane: i64) -> Vec<(usize, DigestPayload)> {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let worker = thread::spawn(move || {
+        let engine = connect_worker(addr, 0, false, |v: &f64| *v).expect("worker joins");
+        let mut session = ApproxSession::from_engine(Box::new(engine));
+        let items = (0..DIGEST_PANES * items_per_pane).map(|i| {
+            let time = EventTime::from_millis(i * DIGEST_PANE_MS / items_per_pane);
+            StreamItem::new(StratumId((i % 3) as u32), time, (i % 17) as f64)
+        });
+        session.push_batch(items).expect("in order");
+        session.finish()
+    });
+    let (mut stream, _) = listener.accept().expect("the worker dials");
+    let hello = read_message(&mut stream)
+        .expect("readable")
+        .expect("a hello");
+    assert!(matches!(hello, Message::HelloJoin { worker: 0, .. }));
+    let assign = Assignment {
+        worker: 0,
+        num_workers: 1,
+        seed: RunSeed::new(5),
+        directive,
+        pane_interval_ms: DIGEST_PANE_MS,
+        expected_pane_items: items_per_pane as u64,
+        window: WindowSpec::tumbling_millis(DIGEST_PANE_MS),
+        confidence: Confidence::P95,
+        heartbeat_interval_ms: 0,
+    };
+    write_message(&mut stream, &Message::HelloAssign(assign)).expect("assignment");
+    let mut digests = Vec::new();
+    loop {
+        let message = read_message(&mut stream)
+            .expect("readable")
+            .expect("a goodbye ends the run");
+        match message {
+            Message::PaneDigest(digest) => {
+                let mut frame = Vec::new();
+                write_message(&mut frame, &Message::PaneDigest(digest.clone())).expect("frame");
+                digests.push((frame.len(), digest.payload));
+            }
+            Message::Shutdown { worker: 0 } => break,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    let out = worker.join().expect("worker thread");
+    assert_eq!(out.items_ingested, (DIGEST_PANES * items_per_pane) as u64);
+    digests
+}
+
+/// Under a fraction budget the coordinator's merge never draws, so a
+/// worker ships its pane's per-stratum statistics: a frame whose size
+/// the strata set, not the sampled items (a sampled digest of 30,000
+/// items per pane would carry some 6,000 values, about 48 KB).
+#[test]
+fn fraction_digests_are_statistics_whose_size_the_strata_set() {
+    for items_per_pane in [300, 30_000] {
+        let digests = worker_digests(SizingDirective::Fraction(0.2), items_per_pane);
+        assert_eq!(digests.len(), DIGEST_PANES as usize);
+        for (bytes, payload) in digests {
+            let DigestPayload::Stats(stats) = payload else {
+                panic!("a fraction digest ships statistics, got {payload:?}");
+            };
+            assert_eq!(stats.len(), 3);
+            let population: u64 = stats.iter().map(|s| s.population).sum();
+            assert_eq!(population, items_per_pane as u64);
+            assert!(
+                bytes < 256,
+                "a {bytes}-byte digest at {items_per_pane} items per pane"
+            );
+        }
+    }
+}
+
+/// A fixed budget's merge draws a weighted union of the workers' samples,
+/// so its digests keep carrying them; without sampling, the statistics
+/// are exact.
+#[test]
+fn fixed_budgets_ship_samples_and_everything_ships_statistics() {
+    for directive in [
+        SizingDirective::PerStratum(24),
+        SizingDirective::SharedTotal(60),
+    ] {
+        for (_, payload) in worker_digests(directive, 300) {
+            assert!(
+                matches!(payload, DigestPayload::Sampled(_)),
+                "{directive:?} ships samples"
+            );
+        }
+    }
+    for (_, payload) in worker_digests(SizingDirective::Everything, 300) {
+        let DigestPayload::Stats(stats) = payload else {
+            panic!("an exact digest ships statistics");
+        };
+        assert_eq!(stats.iter().map(|s| s.sample_size()).sum::<u64>(), 300);
+    }
 }

@@ -605,6 +605,75 @@ fn silent_worker_that_speaks_again_before_the_backoff_revives() {
     assert_eq!(out.items_ingested, WINDOW_MS as u64);
 }
 
+/// A worker paused longer than the coordinator's old one-second read
+/// timeout, but inside `dead_after + backoff`, still revives: its
+/// connection outlives the pause, so it is not retired as a lost one.
+#[test]
+fn worker_paused_past_a_second_revives_inside_the_backoff() {
+    let fault = fast_fault()
+        .with_pane_timeout(Duration::from_secs(10))
+        .with_backoff(Duration::from_secs(10));
+    let mut policy = FixedPerStratum(16);
+    let mut coordinator = coordinator(fault, &mut policy);
+    let addr = coordinator.addr();
+    let good = thread::spawn(move || {
+        let engine = connect_worker(addr, 0, false, |v: &f64| *v).expect("worker joins");
+        let mut session = ApproxSession::from_engine(Box::new(engine));
+        for i in 0..WINDOW_MS {
+            let item = StreamItem::new(StratumId(0), EventTime::from_millis(i), 1.0);
+            session.push(item).expect("in order");
+        }
+        session.finish()
+    });
+    let _ = good.join().expect("good worker thread");
+
+    let mut hand = TcpStream::connect(addr).expect("connect");
+    let join = Message::HelloJoin {
+        worker: 1,
+        wants_results: false,
+    };
+    write_message(&mut hand, &join).expect("join frame");
+    let assign = read_message(&mut hand).expect("readable");
+    assert!(matches!(assign, Some(Message::HelloAssign(_))));
+    write_message(&mut hand, &heartbeat(1)).expect("heartbeat");
+
+    // The pause, with the coordinator polled throughout.
+    let mut windows = Vec::new();
+    let paused = Instant::now();
+    while paused.elapsed() < Duration::from_millis(1_500) {
+        windows.extend(coordinator.poll_windows().expect("no session error"));
+        thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(health_of(&coordinator, 1), Some(WorkerHealth::Dead));
+    write_message(&mut hand, &heartbeat(1)).expect("heartbeat");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while health_of(&coordinator, 1) != Some(WorkerHealth::Healthy) {
+        windows.extend(coordinator.poll_windows().expect("no session error"));
+        assert!(Instant::now() < deadline, "the paused worker never revived");
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert!(windows.is_empty(), "a revivable worker's pane waits for it");
+
+    let digest = Digest {
+        worker: 1,
+        pane: Window::new(EventTime::from_millis(0), EventTime::from_millis(WINDOW_MS)),
+        counters: IngestCounters::default(),
+        watermark: Some(EventTime::from_millis(WINDOW_MS - 1)),
+        lag: 0,
+        last_checkpoint_pane: None,
+        items_since_checkpoint: 0,
+        snapshot_bytes: 0,
+        payload: DigestPayload::Sampled(StratifiedSample::new()),
+    };
+    write_message(&mut hand, &Message::PaneDigest(digest)).expect("digest");
+    write_message(&mut hand, &Message::Shutdown { worker: 1 }).expect("goodbye");
+    let out = coordinator.finish().expect("revived run");
+    windows.extend(out.windows);
+    assert_eq!(windows.len(), 1);
+    assert!(!windows[0].degraded, "the revived worker's pane is whole");
+    assert_eq!(windows[0].lost_items, 0);
+}
+
 /// Claim 3d: a results subscriber receives every window of a degraded
 /// run, the ones `finish` merges after the death included. Its goodbye
 /// ends the coordinator's reads of its connection, so frames it sent
